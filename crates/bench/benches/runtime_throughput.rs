@@ -8,10 +8,8 @@
 //!
 //! All steady-state groups run on a persistent [`ExecutorPool`]: the
 //! pool and executor are constructed once per configuration and only
-//! `pool.run` is timed, so the numbers track the claim/complete path
-//! with **zero per-run spawn cost** — the `figure2_spawn_per_run` group
-//! keeps the legacy scoped `Executor::run` (threads spawned and joined
-//! per call) as the comparison the pool is measured against. The
+//! `submit(..).wait()` is timed, so the numbers track the
+//! claim/complete path with **zero per-run spawn cost**. The
 //! `figure2_affinity` group runs the same workload under
 //! `PlacementPolicy::Affinity(LoadBalanced)` — placement driven by
 //! `tpdf-manycore`'s mapper instead of free work stealing.
@@ -26,8 +24,7 @@
 //!   summary is *not* rewritten (smoke numbers are noise);
 //! * `TPDF_BENCH_ENFORCE=1` — exit non-zero when 4-thread throughput
 //!   drops below 1-thread throughput on the Figure 2 graph (work
-//!   stealing *or* affinity), when the pooled repeat-run throughput
-//!   drops below the spawn-per-run throughput at 1 thread, when the
+//!   stealing *or* affinity), when the
 //!   `figure2_traced` tracing-overhead cells exceed their bounds
 //!   (≤ 5% with the tracer disabled, ≤ 20% with the flight recorder
 //!   on, vs the untraced 4-thread cell), when the 1-thread runtime
@@ -67,8 +64,8 @@ use tpdf_net::ofdm::{run_records, wire_fed_ofdm};
 use tpdf_net::{NetApps, NetClient, NetConfig, NetServer};
 use tpdf_ops::{OpsConfig, OpsPlane};
 use tpdf_runtime::{
-    Executor, ExecutorPool, KernelRegistry, PayloadEncoding, PayloadRuntime, PlacementPolicy,
-    RuntimeConfig, Tracer,
+    Checkpoint, CompiledExecutor, Executor, ExecutorPool, KernelRegistry, PayloadEncoding,
+    PayloadRuntime, PlacementPolicy, RunOutcome, RunRequest, RuntimeConfig, Tracer,
 };
 use tpdf_service::{ServiceConfig, SessionId, TpdfService};
 use tpdf_sim::engine::{SimulationConfig, Simulator};
@@ -132,9 +129,9 @@ fn iterations_payload() -> u64 {
 fn sample_size() -> usize {
     // Sampling is deliberately generous even in smoke mode: the
     // enforce mode and the acceptance trajectory compare groups that
-    // run near-identical code at 1 thread (pooled vs scoped both
-    // collapse to the single-worker fast path), so the comparison is
-    // all noise floor — and the stub's interquartile mean needs enough
+    // run near-identical code (fine-grained cells collapse to the
+    // single-worker fast path whatever their thread count), so the
+    // comparison is all noise floor — and the stub's interquartile mean needs enough
     // samples to actually trim scheduler outliers on small CI hosts.
     // The enforce guards use min-time throughput, so more samples can
     // only improve the estimate; a fine-grained sample is sub-ms, so
@@ -175,6 +172,23 @@ fn tokens_per_run(p: i64, iterations: u64, registry: &KernelRegistry) -> u64 {
     metrics.total_tokens
 }
 
+/// One blocking run on `pool`: the request, submitted and waited.
+fn run_on(
+    pool: &ExecutorPool,
+    compiled: &CompiledExecutor,
+    registry: &KernelRegistry,
+    resume: Option<&Checkpoint>,
+    checkpoint_at_end: bool,
+) -> RunOutcome {
+    let request = RunRequest {
+        resume,
+        checkpoint_at_end,
+    };
+    pool.submit(compiled, registry, request, None)
+        .wait()
+        .expect("run completes")
+}
+
 /// Benches one `(group id, placement)` pair across the thread counts
 /// on a persistent pool (constructed outside the timed loop).
 fn bench_pooled_group(
@@ -192,9 +206,9 @@ fn bench_pooled_group(
             .with_threads(threads)
             .with_iterations(iterations)
             .with_placement(placement);
-        let executor = pool.executor(graph, config).expect("executor");
+        let compiled = pool.executor(graph, config).expect("executor").compile();
         group.bench_with_input(BenchmarkId::new(id, threads), &threads, |b, _| {
-            b.iter(|| pool.run(&executor, registry).expect("run completes"))
+            b.iter(|| run_on(&pool, &compiled, registry, None, false))
         });
     }
 }
@@ -229,20 +243,6 @@ fn bench_runtime(c: &mut Criterion) {
         PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
         iterations(),
     );
-
-    // The legacy scoped path (workers spawned and joined per `run`):
-    // what the persistent pool is measured against.
-    for threads in [1usize, 4] {
-        let config = RuntimeConfig::new(binding.clone())
-            .with_threads(threads)
-            .with_iterations(iterations());
-        let executor = Executor::new(&graph, config).expect("executor");
-        group.bench_with_input(
-            BenchmarkId::new("figure2_spawn_per_run", threads),
-            &threads,
-            |b, _| b.iter(|| executor.run(&registry).expect("run completes")),
-        );
-    }
 
     // Single-threaded untimed engine as the baseline the runtime is
     // cross-validated against (it only counts tokens — no data moves).
@@ -282,9 +282,9 @@ fn bench_runtime_traced(c: &mut Criterion) {
             .with_threads(threads)
             .with_iterations(iterations())
             .with_tracer(Arc::clone(&tracer));
-        let executor = pool.executor(&graph, config).expect("executor");
+        let compiled = pool.executor(&graph, config).expect("executor").compile();
         group.bench_with_input(BenchmarkId::new("figure2_traced", cell), &cell, |b, _| {
-            b.iter(|| pool.run(&executor, &registry).expect("run completes"))
+            b.iter(|| run_on(&pool, &compiled, &registry, None, false))
         });
     }
     group.finish();
@@ -481,18 +481,11 @@ fn bench_checkpoint(c: &mut Criterion) {
 
     // The unchecked baseline, adjacent in time to the chained cell so
     // a noisy host skews both sides alike.
-    let unchecked = pool
-        .executor(
-            &graph,
-            RuntimeConfig::new(binding.clone())
-                .with_threads(1)
-                .with_iterations(total),
-        )
-        .expect("executor");
+    let unchecked = compile(total);
     group.bench_with_input(
         BenchmarkId::new("figure2_checkpoint", "unchecked"),
         &total,
-        |b, _| b.iter(|| pool.run(&unchecked, &registry).expect("run")),
+        |b, _| b.iter(|| run_on(&pool, &unchecked, &registry, None, false)),
     );
 
     // One executor per barrier boundary: 8, 16, ..., total. The chain
@@ -512,16 +505,12 @@ fn bench_checkpoint(c: &mut Criterion) {
         &total,
         |b, _| {
             b.iter(|| {
-                let (_, mut checkpoint) = pool
-                    .run_checkpointed(&segments[0], &registry)
-                    .expect("first segment");
-                for segment in &segments[1..] {
-                    let (_, next) = pool
-                        .run_restored_checkpointed(segment, &registry, &checkpoint)
-                        .expect("segment");
-                    checkpoint = next;
+                let mut checkpoint = None;
+                for segment in &segments {
+                    checkpoint =
+                        run_on(&pool, segment, &registry, checkpoint.as_ref(), true).checkpoint;
                 }
-                std::hint::black_box(checkpoint.encode());
+                std::hint::black_box(checkpoint.expect("requested").encode());
             })
         },
     );
@@ -731,16 +720,15 @@ fn main() {
 
     if std::env::var_os("TPDF_BENCH_ENFORCE").is_some() {
         let samples = criterion.samples();
-        // 15% epsilon on the three scheduler guards: on fine-grained
+        // 15% epsilon on the two scheduler guards: on fine-grained
         // graphs the scheduler deliberately collapses to one worker
         // whatever the configured pool or placement, so the compared
         // measurements run near-identical code and differ only by
         // bench noise — measured at up to ±10% on busy single-core CI
-        // hosts even with interquartile trimming. The regressions
+        // hosts even with interquartile trimming. The regression
         // these guard against (a scheduler that *loses* throughput as
         // threads are added, like the pre-sharding global lock: -28%
-        // at 4 threads; a pool that pays per-run setup the scoped path
-        // does not) sit far outside the epsilon.
+        // at 4 threads) sits far outside the epsilon.
         enforce_ratio(
             samples,
             "runtime_throughput/figure2_threads/4",
@@ -754,13 +742,6 @@ fn main() {
             "runtime_throughput/figure2_affinity/1",
             0.85,
             "4-thread/1-thread scaling (affinity)",
-        );
-        enforce_ratio(
-            samples,
-            "runtime_throughput/figure2_threads/1",
-            "runtime_throughput/figure2_spawn_per_run/1",
-            0.85,
-            "pooled repeat-run vs spawn-per-run (1 thread)",
         );
         // Tracing overhead bounds: a *disabled* tracer must cost at
         // most 5% (one relaxed load and a branch per site), the live

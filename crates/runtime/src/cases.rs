@@ -667,11 +667,20 @@ fn float_inputs(ctx: &crate::kernel::FiringContext) -> Result<Vec<f64>, RuntimeE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Executor, PlacementPolicy, RuntimeConfig};
+    use crate::executor::{Executor, PlacementPolicy, RunRequest, RuntimeConfig};
+    use crate::metrics::Metrics;
     use crate::pool::ExecutorPool;
     use tpdf_manycore::MappingStrategy;
     use tpdf_sim::engine::ControlPolicy;
     use tpdf_symexpr::Binding;
+
+    /// A plain blocking run on a shared pool.
+    fn run(pool: &ExecutorPool, executor: &Executor<'_>, registry: &KernelRegistry) -> Metrics {
+        pool.submit(&executor.compile(), registry, RunRequest::default(), None)
+            .wait()
+            .expect("run completes")
+            .metrics
+    }
 
     /// Both placement policies, for the case-study matrix below.
     fn placements() -> [PlacementPolicy; 2] {
@@ -815,7 +824,7 @@ mod tests {
                 .with_threads(4)
                 .with_placement(placement);
             let executor = pool.executor(&edge_graph, config).unwrap();
-            let metrics = pool.run(&executor, &registry).unwrap();
+            let metrics = run(&pool, &executor, &registry);
             assert_eq!(metrics.placement, placement);
             assert_eq!(
                 capture.images(),
@@ -843,7 +852,7 @@ mod tests {
                 .with_mode_selector(ofdm.mode_selector())
                 .with_value_trace(ofdm.value_trace());
             let executor = pool.executor(&ofdm_graph, config).unwrap();
-            pool.run(&executor, &registry).unwrap();
+            run(&pool, &executor, &registry);
             assert_eq!(capture.bits(), ofdm.sent_bits(), "OFDM under {placement:?}");
         }
 
@@ -857,7 +866,7 @@ mod tests {
                 .with_placement(placement)
                 .with_policy(ControlPolicy::SelectInput(1));
             let executor = pool.executor(&radio_graph, config).unwrap();
-            pool.run(&executor, &registry).unwrap();
+            run(&pool, &executor, &registry);
             assert_eq!(
                 capture.floats(),
                 radio.reference_audio(1),

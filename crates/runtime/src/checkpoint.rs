@@ -212,11 +212,10 @@ pub struct ChannelCheckpoint {
 
 /// A barrier-consistent capture of one run's execution state.
 ///
-/// Produced by [`crate::Executor::run_checkpointed`] (or
-/// [`crate::ExecutorPool::run_checkpointed`]); consumed by the
-/// `run_restored` counterparts, which resume the run mid-graph as if it
-/// had never stopped. Serialized with [`Checkpoint::encode`] /
-/// [`Checkpoint::decode`].
+/// Produced by a run whose [`crate::RunRequest`] set
+/// `checkpoint_at_end`; consumed by a run whose request names it in
+/// `resume`, which continues mid-graph as if it had never stopped.
+/// Serialized with [`Checkpoint::encode`] / [`Checkpoint::decode`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Completed iterations — the barrier index the run stopped at.

@@ -11,8 +11,9 @@
 //! | [`ring`] | [`ring::RingBuffer`]: lock-free SPSC channel rings with batch slab transfer, sized from `tpdf-sim` buffer analysis |
 //! | [`arena`] | [`arena::SlabArena`]: per-worker recycled firing slabs, bucketed by capacity class — what makes a steady-state firing allocation-free |
 //! | [`kernel`] | [`kernel::KernelBehavior`] / [`kernel::KernelRegistry`]: what each node computes, plus built-in Select-Duplicate, Transaction-with-vote and default semantics |
-//! | [`executor`] | [`executor::Executor`]: the sharded scheduler (per-node atomic claims, per-worker ready queues with stealing or manycore-mapped affinity placement — [`executor::PlacementPolicy`]) with control-token mode switching and real-deadline [`tpdf_core::KernelKind::Clock`] watchdogs |
-//! | [`pool`] | [`pool::ExecutorPool`]: a persistent worker pool — threads spawned once, parked between runs, telemetry carried across runs |
+//! | [`executor`] | [`executor::Executor`] / [`executor::CompiledExecutor`]: the sharded scheduler (per-node atomic claims, per-worker ready queues with stealing or manycore-mapped affinity placement — [`executor::PlacementPolicy`]) with control-token mode switching and real-deadline [`tpdf_core::KernelKind::Clock`] watchdogs; [`executor::RunRequest`] / [`executor::RunOutcome`], the one request and outcome of a run |
+//! | [`pool`] | [`pool::ExecutorPool`]: the one way to run a graph — [`pool::ExecutorPool::submit`] takes a `RunRequest` (fresh or resumed from a [`checkpoint::Checkpoint`], optionally cut at the final barrier) onto a persistent worker pool: threads spawned once, parked between runs, telemetry carried across runs |
+//! | [`checkpoint`] | [`checkpoint::Checkpoint`]: the barrier-consistent cut of a run and its versioned, checksummed byte codec |
 //! | [`metrics`] | [`metrics::Metrics`]: per-actor firings, tokens/sec, deadline misses, per-worker firing/steal counts |
 //! | [`cases`] | the edge-detection, OFDM and FM-radio case studies ported to run end-to-end |
 //!
@@ -23,6 +24,13 @@
 //! (re-exported here as [`Tracer`]).
 //!
 //! ## Semantics
+//!
+//! There is one run path. [`Executor::run`] and its two checkpoint
+//! wrappers build a pool for the one call and do what every other
+//! caller does: `pool.submit(&compiled, &registry, request, None)`,
+//! then [`JobTicket::wait`] — which lends the waiting thread as a
+//! participant, so a 1-thread run spawns nothing. A service keeps a
+//! [`ExecutorPool::detached`] pool and never waits.
 //!
 //! The executor implements the untimed `tpdf-sim` engine's semantics on
 //! a pool of worker threads: kernels fire when their *mode-selected*
@@ -89,7 +97,8 @@ pub use cases::{
 };
 pub use checkpoint::{ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError};
 pub use executor::{
-    ClockMode, CompiledExecutor, Executor, PlacementPolicy, ProgressSnapshot, RuntimeConfig,
+    ClockMode, CompiledExecutor, Executor, PlacementPolicy, ProgressSnapshot, RunOutcome,
+    RunRequest, RuntimeConfig,
 };
 pub use kernel::{FiringContext, KernelBehavior, KernelRegistry};
 pub use metrics::{DeadlineSelection, Metrics, RebindEvent};

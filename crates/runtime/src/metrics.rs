@@ -106,8 +106,7 @@ pub struct Metrics {
     /// *pool* worker (not per-job participant): `Some(core)` for a
     /// worker the `core-pinning` feature pinned to a CPU core, `None`
     /// for an unpinned worker (the calling thread of a non-detached
-    /// pool is never pinned). Empty for scoped `Executor::run`s, which
-    /// have no persistent workers to pin.
+    /// pool is never pinned).
     pub pinned_cores: Vec<Option<usize>>,
     /// Slab-arena requests served from a worker freelist without
     /// touching the allocator, summed over all workers.

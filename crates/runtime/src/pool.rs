@@ -1,22 +1,22 @@
-//! A persistent worker pool servicing many concurrent runs.
+//! A persistent worker pool — the one way to run a graph.
 //!
-//! [`crate::executor::Executor::run`] spawns its secondary workers with
-//! [`std::thread::scope`] and joins them before returning — correct,
-//! but the spawn/join pair is paid on *every* run, and only one run can
-//! use the threads at a time. An [`ExecutorPool`] spawns its workers
-//! **once** and multiplexes them over a *slot table of active jobs*:
-//!
-//! * [`ExecutorPool::run`] — the classic blocking call: the caller is
-//!   participant 0 (exactly as in the scoped path) and pool workers
-//!   fill the remaining participation slots.
-//! * [`ExecutorPool::submit`] — asynchronous: the job is queued and
-//!   executed entirely by pool workers; the returned [`JobTicket`] is
-//!   polled ([`JobTicket::try_take`]), awaited ([`JobTicket::wait`],
-//!   which lends the waiting thread as a participant when a slot is
-//!   free) or cancelled ([`JobTicket::cancel`]). This is the substrate
-//!   of `tpdf-service`'s multi-session layer: many graph instances
-//!   share one pool, each with its own isolated [`RunState`], metrics
-//!   and panic containment.
+//! Every run is one [`RunRequest`] handed to [`ExecutorPool::submit`]:
+//! start from the initial state or resume a
+//! [`Checkpoint`](crate::checkpoint::Checkpoint), fire to the final
+//! iteration barrier, optionally cut a checkpoint there. `submit`
+//! queues the job and returns a [`JobTicket`], which is polled
+//! ([`JobTicket::try_take`]), awaited ([`JobTicket::wait`]) or
+//! cancelled ([`JobTicket::cancel`]). A blocking run is
+//! `submit(..).wait()`: the waiting thread lends itself as a
+//! participant while a slot is free, so a pool built with
+//! [`ExecutorPool::new`] runs an N-worker job on `N - 1` spawned
+//! threads plus the caller, and a 1-worker job on the caller alone.
+//! [`crate::executor::Executor::run`] and its two checkpoint wrappers
+//! are exactly that, on a pool sized for the one call. A pool built
+//! with [`ExecutorPool::detached`] owns all its workers and needs no
+//! caller — the substrate of `tpdf-service`'s multi-session layer: many
+//! graph instances share one pool, each with its own isolated
+//! [`RunState`], metrics and panic containment.
 //!
 //! The pool also owns the firing-cost telemetry
 //! ([`crate::executor::Executor::sampled_firing_cost_ns`]'s EWMA):
@@ -39,8 +39,9 @@
 //! its full complement; late workers simply join a run in progress,
 //! and a busy pool degrades throughput, never liveness. The last
 //! participant to leave a halted job finalises it: collects the
-//! per-job [`Metrics`], publishes the result and fires the completion
-//! callback ([`ExecutorPool::submit_with`]).
+//! per-job [`Metrics`](crate::metrics::Metrics), captures the
+//! checkpoint the request asked for, publishes the [`RunOutcome`] and
+//! fires the completion callback.
 //!
 //! Worker indices inside a job are *participation* indices (0 ..
 //! `workers`), handed out in join order — decoupled from pool worker
@@ -50,11 +51,11 @@
 //!
 //! ## Panic isolation
 //!
-//! A panicking kernel fails only its own job (the panic is converted
-//! into [`RuntimeError::KernelFailed`] and the job halts); the worker
-//! survives and returns to the hunt, and every other job's state is
-//! untouched — which the service stress suite asserts across
-//! concurrent sessions.
+//! A panicking kernel fails only its own job — on whichever thread it
+//! fired, a pool worker or a waiting caller: the panic is converted
+//! into [`RuntimeError::KernelFailed`] and the job halts. The thread
+//! survives and every other job's state is untouched — which the
+//! service stress suite asserts across concurrent sessions.
 //!
 //! ## Core pinning
 //!
@@ -63,13 +64,13 @@
 //! thread's *allowed* set (wrapping), so cpuset/taskset restrictions
 //! are honoured — before entering the hunt, making
 //! `tpdf_manycore::Platform`'s one-PE-per-worker model physical. The
-//! outcome is recorded per pool worker and attached to every pooled
-//! run's [`Metrics::pinned_cores`].
+//! outcome is recorded per pool worker and attached to every run's
+//! [`Metrics::pinned_cores`](crate::metrics::Metrics::pinned_cores).
 
-use crate::checkpoint::Checkpoint;
-use crate::executor::{ClockMode, CompiledExecutor, CostTelemetry, Engine, Executor, RunState};
+use crate::executor::{
+    ClockMode, CompiledExecutor, CostTelemetry, Engine, Executor, RunOutcome, RunRequest, RunState,
+};
 use crate::kernel::KernelRegistry;
-use crate::metrics::Metrics;
 use crate::pinning::pin_to_nth_allowed_core;
 use crate::RuntimeError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,7 +103,11 @@ struct PoolJob {
     finishing: AtomicBool,
     /// Set (after the result is stored) by the finaliser.
     finished: AtomicBool,
-    result: Mutex<Option<Result<Metrics, RuntimeError>>>,
+    /// The finaliser captures a [`crate::checkpoint::Checkpoint`] of
+    /// the quiesced state into the outcome
+    /// ([`RunRequest::checkpoint_at_end`]).
+    checkpoint_at_end: bool,
+    result: Mutex<Option<Result<RunOutcome, RuntimeError>>>,
     /// Invoked once, after the result is published — the service
     /// layer's dispatch hook. Never called while a pool lock is held.
     on_complete: Mutex<Option<Box<dyn FnOnce() + Send>>>,
@@ -112,25 +117,6 @@ impl PoolJob {
     /// The job's start instant, initialised by the first participant.
     fn started(&self) -> Instant {
         *self.start.get_or_init(Instant::now)
-    }
-}
-
-/// The finished state of a blocking pool run, handed back so a
-/// checkpoint can be captured after the run quiesced: the single-worker
-/// fast path keeps its state local, the slot-table path hands back the
-/// finalised job (all participants have left — the finaliser is elected
-/// only at `active == 0` — so reading the state races with nobody).
-enum FinishedRun {
-    Local(Box<RunState>),
-    Pooled(Arc<PoolJob>),
-}
-
-impl FinishedRun {
-    fn state(&self) -> &RunState {
-        match self {
-            FinishedRun::Local(state) => state,
-            FinishedRun::Pooled(job) => &job.state,
-        }
     }
 }
 
@@ -245,18 +231,9 @@ fn participate(job: &Arc<PoolJob>, idx: usize) -> bool {
             0,
         );
     }
-    let single_virtual =
-        job.workers == 1 && matches!(job.engine.config().clock_mode, ClockMode::Virtual);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if single_virtual {
-            // The sole participant of a collapsed job takes the
-            // de-synchronised fast loop, exactly as a 1-thread run.
-            job.engine.run_single(&job.state, &job.registry, start);
-            false
-        } else {
-            job.engine
-                .worker_loop(&job.state, idx, &job.registry, start)
-        }
+        job.engine
+            .participate(&job.state, idx, &job.registry, start)
     }));
     match outcome {
         Ok(stood_down) => stood_down,
@@ -317,14 +294,26 @@ fn stand_down(shared: &PoolShared, job: &Arc<PoolJob>) {
     }
 }
 
-/// Collects the job's metrics, publishes the result, wakes waiters and
-/// fires the completion callback. Requires the `finishing` election.
+/// Collects the job's metrics, captures the requested checkpoint —
+/// every participant has left (the finaliser is elected only at
+/// `active == 0`), so the rings are quiescent — publishes the outcome,
+/// wakes waiters and fires the completion callback. Requires the
+/// `finishing` election.
 fn finalize_job(shared: &PoolShared, job: &Arc<PoolJob>) {
     let elapsed = job.start.get().map(|s| s.elapsed()).unwrap_or_default();
-    let mut result = job.engine.collect_metrics(&job.state, elapsed, job.workers);
-    if let Ok(metrics) = &mut result {
-        metrics.pinned_cores = shared.pinned.lock().expect("pinning lock").clone();
-    }
+    let result = job
+        .engine
+        .collect_metrics(&job.state, elapsed, job.workers)
+        .map(|mut metrics| {
+            metrics.pinned_cores = shared.pinned.lock().expect("pinning lock").clone();
+            let checkpoint = job
+                .checkpoint_at_end
+                .then(|| job.engine.capture_checkpoint(&job.state, &metrics));
+            RunOutcome {
+                metrics,
+                checkpoint,
+            }
+        });
     if let Some(tracer) = job.engine.trace() {
         tracer.control_event(
             EventKind::JobFinalize,
@@ -350,7 +339,7 @@ fn finalize_job(shared: &PoolShared, job: &Arc<PoolJob>) {
 /// is delivered once: if it was already taken (an earlier
 /// [`JobTicket::try_take`]), this reports an error rather than
 /// panicking.
-fn wait_finished(shared: &PoolShared, job: &Arc<PoolJob>) -> Result<Metrics, RuntimeError> {
+fn wait_finished(shared: &PoolShared, job: &Arc<PoolJob>) -> Result<RunOutcome, RuntimeError> {
     let mut slot = shared.slot.lock().expect("pool lock");
     while !job.finished.load(Ordering::Acquire) {
         slot = shared.done.wait(slot).expect("pool lock");
@@ -376,26 +365,44 @@ fn wait_finished(shared: &PoolShared, job: &Arc<PoolJob>) -> Result<Metrics, Run
 ///
 /// ```
 /// use tpdf_core::examples::figure2_graph;
-/// use tpdf_runtime::{ExecutorPool, KernelRegistry, RuntimeConfig};
+/// use tpdf_runtime::{ExecutorPool, KernelRegistry, RunRequest, RuntimeConfig};
 /// use tpdf_symexpr::Binding;
 ///
 /// # fn main() -> Result<(), tpdf_runtime::RuntimeError> {
 /// let graph = figure2_graph();
 /// let pool = ExecutorPool::new(2);
-/// let executor = pool.executor(
-///     &graph,
-///     RuntimeConfig::new(Binding::from_pairs([("p", 2)])).with_threads(2),
-/// )?;
+/// let compiled = pool
+///     .executor(
+///         &graph,
+///         RuntimeConfig::new(Binding::from_pairs([("p", 2)])).with_threads(2),
+///     )?
+///     .compile();
 /// let registry = KernelRegistry::new();
 /// for _ in 0..3 {
-///     // No worker spawns after the first line of main.
-///     let metrics = pool.run(&executor, &registry)?;
-///     assert_eq!(metrics.iterations, 1);
+///     // No worker spawns after the first line of main: the waiting
+///     // thread and the pool's one spawned worker share each run.
+///     let outcome = pool
+///         .submit(&compiled, &registry, RunRequest::default(), None)
+///         .wait()?;
+///     assert_eq!(outcome.metrics.iterations, 1);
 /// }
-/// // Asynchronous submission: the same pool, no caller participation.
-/// let ticket = pool.submit(&executor.compile(), &registry);
-/// let metrics = ticket.wait()?;
-/// assert_eq!(metrics.iterations, 1);
+/// // Cut a checkpoint at the final barrier and resume it in a longer
+/// // run — same entry point, different request.
+/// let cut = RunRequest { resume: None, checkpoint_at_end: true };
+/// let checkpoint = pool
+///     .submit(&compiled, &registry, cut, None)
+///     .wait()?
+///     .checkpoint
+///     .expect("requested");
+/// let longer = pool
+///     .executor(
+///         &graph,
+///         RuntimeConfig::new(Binding::from_pairs([("p", 2)])).with_iterations(3),
+///     )?
+///     .compile();
+/// let resume = RunRequest { resume: Some(&checkpoint), checkpoint_at_end: false };
+/// let outcome = pool.submit(&longer, &registry, resume, None).wait()?;
+/// assert_eq!(outcome.metrics.iterations, 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -422,10 +429,10 @@ impl std::fmt::Debug for ExecutorPool {
 impl ExecutorPool {
     /// Spawns a pool of `threads` workers (clamped to ≥ 1) for
     /// *caller-participating* use: `threads - 1` OS threads are created
-    /// here, and the thread calling [`ExecutorPool::run`] serves as the
-    /// remaining worker. For a pool that executes
-    /// [`ExecutorPool::submit`]ted jobs without any caller thread —
-    /// what a service hosts — use [`ExecutorPool::detached`].
+    /// here, and the thread blocking in [`JobTicket::wait`] serves as
+    /// the remaining worker. For a pool that executes jobs without any
+    /// caller thread — what a service hosts — use
+    /// [`ExecutorPool::detached`].
     pub fn new(threads: usize) -> Self {
         Self::build(threads, false)
     }
@@ -488,9 +495,8 @@ impl ExecutorPool {
     }
 
     /// The pool's worker count (including, for a non-detached pool, the
-    /// caller acting as a participant of [`ExecutorPool::run`]).
-    /// Constant for the pool's lifetime — the reuse suite asserts no
-    /// run grows it.
+    /// caller participating through [`JobTicket::wait`]). Constant for
+    /// the pool's lifetime — the reuse suite asserts no run grows it.
     pub fn worker_count(&self) -> usize {
         self.threads
     }
@@ -537,234 +543,94 @@ impl ExecutorPool {
         Executor::with_telemetry(graph, config, Arc::clone(&self.telemetry))
     }
 
-    /// Executes one run of `executor` on the pool and reports
-    /// [`Metrics`], blocking until completion. Semantically identical
-    /// to [`Executor::run`] — placement, determinism and clock handling
-    /// are the same shared worker loop — but no thread is spawned: the
-    /// caller is participant 0 and pool workers fill the remaining
-    /// slots. The run engages up to `min(executor threads, pool size)`
-    /// participants (the granularity heuristic may collapse that to 1),
-    /// and runs concurrently with any other job active on the pool.
+    /// Queues one run of `compiled` and returns immediately — the
+    /// single entry point every run goes through. The run starts from
+    /// the initial state or from `request.resume`, fires to the final
+    /// iteration barrier of `compiled`'s configuration, and — with
+    /// `request.checkpoint_at_end` — leaves a barrier-consistent
+    /// checkpoint in its [`RunOutcome`]. It engages up to
+    /// `min(executor threads, pool size)` participants (the granularity
+    /// heuristic may collapse that to 1) and runs concurrently with
+    /// every other job active on the pool. A checkpoint may be resumed
+    /// on a different pool, worker count and placement than the one
+    /// that cut it: sink streams, mode sequences and firing counts are
+    /// byte-identical to a run that never stopped.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Executor::run`].
-    pub fn run(
-        &self,
-        executor: &Executor<'_>,
-        registry: &KernelRegistry,
-    ) -> Result<Metrics, RuntimeError> {
-        let engine = Arc::clone(executor.engine());
-        let workers = engine.effective_workers().min(self.threads);
-        let state = engine.initial_state(workers);
-        self.run_to_completion(engine, state, workers, registry).0
-    }
-
-    /// Like [`ExecutorPool::run`], additionally capturing a
-    /// barrier-consistent [`Checkpoint`] of the run's final state —
-    /// the pooled counterpart of [`Executor::run_checkpointed`], and
-    /// what a service's `checkpoint_session` drains onto.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecutorPool::run`].
-    pub fn run_checkpointed(
-        &self,
-        compiled: &CompiledExecutor,
-        registry: &KernelRegistry,
-    ) -> Result<(Metrics, Checkpoint), RuntimeError> {
-        let engine = Arc::clone(compiled.engine());
-        let workers = engine.effective_workers().min(self.threads);
-        let state = engine.initial_state(workers);
-        let (result, finished) =
-            self.run_to_completion(Arc::clone(&engine), state, workers, registry);
-        let metrics = result?;
-        let checkpoint = engine.capture_checkpoint(finished.state(), &metrics);
-        Ok((metrics, checkpoint))
-    }
-
-    /// Resumes a checkpointed run on this pool — possibly a different
-    /// pool, with a different worker count and placement, than the one
-    /// that checkpointed it. Sink streams, mode sequences and firing
-    /// counts are byte-identical to a run that never stopped.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::Checkpoint`] when the checkpoint belongs to a
-    ///   different graph or leaves nothing to resume;
-    /// * otherwise the same conditions as [`ExecutorPool::run`].
-    pub fn run_restored(
-        &self,
-        compiled: &CompiledExecutor,
-        registry: &KernelRegistry,
-        checkpoint: &Checkpoint,
-    ) -> Result<Metrics, RuntimeError> {
-        let engine = Arc::clone(compiled.engine());
-        let workers = engine.effective_workers().min(self.threads);
-        let state = engine.restore_state(checkpoint, workers)?;
-        self.run_to_completion(engine, state, workers, registry).0
-    }
-
-    /// Resumes a checkpointed run and captures a fresh [`Checkpoint`]
-    /// at its final barrier — the chaining primitive for *periodic*
-    /// checkpointing: run to barrier 8, checkpoint, restore into a
-    /// barrier-16 executor, checkpoint again, and so on. The
-    /// `figure2_checkpoint` bench group guards the overhead of exactly
-    /// that chain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecutorPool::run_restored`].
-    pub fn run_restored_checkpointed(
-        &self,
-        compiled: &CompiledExecutor,
-        registry: &KernelRegistry,
-        checkpoint: &Checkpoint,
-    ) -> Result<(Metrics, Checkpoint), RuntimeError> {
-        let engine = Arc::clone(compiled.engine());
-        let workers = engine.effective_workers().min(self.threads);
-        let state = engine.restore_state(checkpoint, workers)?;
-        let (result, finished) =
-            self.run_to_completion(Arc::clone(&engine), state, workers, registry);
-        let metrics = result?;
-        let next = engine.capture_checkpoint(finished.state(), &metrics);
-        Ok((metrics, next))
-    }
-
-    /// Drives `state` to completion on the pool, the caller
-    /// participating as worker 0 — the execution core shared by
-    /// [`ExecutorPool::run`] and its checkpoint/restore variants. The
-    /// finished state rides back alongside the result so a checkpoint
-    /// can be captured from it after the run quiesces.
-    fn run_to_completion(
-        &self,
-        engine: Arc<Engine>,
-        mut state: RunState,
-        workers: usize,
-        registry: &KernelRegistry,
-    ) -> (Result<Metrics, RuntimeError>, FinishedRun) {
-        self.tag_job(&engine, &mut state, workers);
-        let start = Instant::now();
-        let virtual_clocks = matches!(engine.config().clock_mode, ClockMode::Virtual);
-        if workers == 1 && virtual_clocks {
-            // The collapsed single-worker fast path never touches the
-            // slot table: the calling thread runs the de-synchronised
-            // loop directly, exactly as the scoped path does.
-            engine.run_single(&state, registry, start);
-            let mut metrics = engine.collect_metrics(&state, start.elapsed(), 1);
-            if let Ok(m) = &mut metrics {
-                m.pinned_cores = self.pinned_cores();
-            }
-            return (metrics, FinishedRun::Local(Box::new(state)));
-        }
-
-        let job = Arc::new(PoolJob {
-            engine,
-            registry: registry.clone(),
-            state,
-            start: OnceLock::new(),
-            workers,
-            // The caller pre-claims participation slot 0 — same
-            // division of labour as the scoped path, so a 1-worker
-            // pooled run involves no other thread at all.
-            joined: AtomicUsize::new(1),
-            active: AtomicUsize::new(1),
-            finishing: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-            result: Mutex::new(None),
-            on_complete: Mutex::new(None),
-        });
-        job.start.set(start).expect("fresh job");
-        if workers > 1 {
-            let mut slot = self.shared.slot.lock().expect("pool lock");
-            slot.queue.push(Arc::clone(&job));
-            drop(slot);
-            self.shared.work.notify_all();
-        }
-        if let Some(tracer) = job.engine.trace() {
-            tracer.event(0, EventKind::JobClaim, job.state.trace_job, 0, 0, 0);
-        }
-        // A caller-side panic is caught so the halt can be published
-        // and the secondaries drained (otherwise they would hold their
-        // participation forever), then re-raised to preserve the scoped
-        // path's panic semantics.
-        let caller = catch_unwind(AssertUnwindSafe(|| {
-            job.engine.worker_loop(&job.state, 0, &job.registry, start)
-        }));
-        if caller.is_err() {
-            job.engine.fail(
-                &job.state,
-                RuntimeError::KernelFailed {
-                    node: "pool worker 0".to_string(),
-                    message: "worker thread panicked".to_string(),
-                },
-            );
-        }
-        leave(&self.shared, &job);
-        let result = wait_finished(&self.shared, &job);
-        if let Err(payload) = caller {
-            std::panic::resume_unwind(payload);
-        }
-        (result, FinishedRun::Pooled(job))
-    }
-
-    /// Queues one run of `compiled` for asynchronous execution by the
-    /// pool workers and returns immediately. The job runs concurrently
-    /// with every other active job; the caller does not participate.
+    /// `on_complete` is invoked exactly once after the job's result is
+    /// published (from the finalising thread, with no pool lock held) —
+    /// the hook a service layer uses to dispatch a session's next
+    /// queued request.
     ///
     /// On a pool with no spawned workers (`ExecutorPool::new(1)`) the
     /// job only progresses when some thread lends itself through
     /// [`JobTicket::wait`] — a service should host a
     /// [`ExecutorPool::detached`] pool.
-    pub fn submit(&self, compiled: &CompiledExecutor, registry: &KernelRegistry) -> JobTicket {
-        self.submit_job(compiled, registry, None)
-    }
-
-    /// Like [`ExecutorPool::submit`], additionally invoking
-    /// `on_complete` exactly once after the job's result is published
-    /// (from a pool worker thread, with no pool lock held) — the hook a
-    /// service layer uses to dispatch a session's next queued request.
-    pub fn submit_with(
+    ///
+    /// # Errors
+    ///
+    /// The ticket resolves to:
+    ///
+    /// * [`RuntimeError::Checkpoint`] when `request.resume` belongs to
+    ///   a different graph, disagrees in shape, or leaves nothing to
+    ///   resume (the job is finalised before any worker sees it);
+    /// * [`RuntimeError::Stalled`] when no node can make progress;
+    /// * [`RuntimeError::RateMismatch`] when a behaviour produced the
+    ///   wrong number of tokens;
+    /// * [`RuntimeError::KernelFailed`] raised by a behaviour, or
+    ///   standing in for a behaviour that panicked;
+    /// * [`RuntimeError::Cancelled`] when the job was cancelled.
+    pub fn submit(
         &self,
         compiled: &CompiledExecutor,
         registry: &KernelRegistry,
-        on_complete: impl FnOnce() + Send + 'static,
-    ) -> JobTicket {
-        self.submit_job(compiled, registry, Some(Box::new(on_complete)))
-    }
-
-    fn submit_job(
-        &self,
-        compiled: &CompiledExecutor,
-        registry: &KernelRegistry,
+        request: RunRequest<'_>,
         on_complete: Option<Box<dyn FnOnce() + Send>>,
     ) -> JobTicket {
         let engine = Arc::clone(compiled.engine());
         let workers = engine.effective_workers().min(self.threads);
-        let mut state = engine.initial_state(workers);
+        let restored = request
+            .resume
+            .map(|checkpoint| engine.restore_state(checkpoint, workers));
+        let (mut state, rejected) = match restored {
+            None => (engine.initial_state(workers), None),
+            Some(Ok(state)) => (state, None),
+            // A checkpoint this engine cannot resume still becomes a
+            // job — one that has already failed — so the error reaches
+            // the caller the way every other one does: through the
+            // ticket, after the completion callback's usual protocol.
+            Some(Err(error)) => (engine.initial_state(workers), Some(error)),
+        };
         self.tag_job(&engine, &mut state, workers);
-        let job = Arc::new(PoolJob {
-            engine,
-            registry: registry.clone(),
-            state,
-            start: OnceLock::new(),
-            workers,
-            joined: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            finishing: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-            result: Mutex::new(None),
-            on_complete: Mutex::new(on_complete),
-        });
-        {
-            let mut slot = self.shared.slot.lock().expect("pool lock");
-            slot.queue.push(Arc::clone(&job));
-        }
-        self.shared.work.notify_all();
-        JobTicket {
+        let ticket = JobTicket {
             shared: Arc::clone(&self.shared),
-            job,
+            job: Arc::new(PoolJob {
+                engine,
+                registry: registry.clone(),
+                state,
+                start: OnceLock::new(),
+                workers,
+                joined: AtomicUsize::new(0),
+                active: AtomicUsize::new(0),
+                finishing: AtomicBool::new(false),
+                finished: AtomicBool::new(false),
+                checkpoint_at_end: request.checkpoint_at_end,
+                result: Mutex::new(None),
+                on_complete: Mutex::new(on_complete),
+            }),
+        };
+        match rejected {
+            Some(error) => {
+                ticket.job.engine.fail(&ticket.job.state, error.into());
+                ticket.finalize_if_idle();
+            }
+            None => {
+                let mut slot = self.shared.slot.lock().expect("pool lock");
+                slot.queue.push(Arc::clone(&ticket.job));
+                drop(slot);
+                self.shared.work.notify_all();
+            }
         }
+        ticket
     }
 }
 
@@ -835,14 +701,14 @@ impl JobTicket {
 
     /// Takes the job's result if it is finished, `None` otherwise (or
     /// if the result was already taken).
-    pub fn try_take(&self) -> Option<Result<Metrics, RuntimeError>> {
+    pub fn try_take(&self) -> Option<Result<RunOutcome, RuntimeError>> {
         if !self.is_finished() {
             return None;
         }
         self.job.result.lock().expect("result lock").take()
     }
 
-    /// Blocks until the job completes and returns its [`Metrics`].
+    /// Blocks until the job completes and returns its [`RunOutcome`].
     ///
     /// If the job still has a free participation slot, the waiting
     /// thread lends itself as a participant first — so waiting makes
@@ -850,11 +716,10 @@ impl JobTicket {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Executor::run`], plus
-    /// [`RuntimeError::Cancelled`] when the job was cancelled, and
+    /// Same conditions as [`ExecutorPool::submit`], plus
     /// [`RuntimeError::InvalidConfig`] when the result was already
     /// taken through [`JobTicket::try_take`].
-    pub fn wait(self) -> Result<Metrics, RuntimeError> {
+    pub fn wait(self) -> Result<RunOutcome, RuntimeError> {
         let idx = {
             let mut slot = self.shared.slot.lock().expect("pool lock");
             claim_participation(&mut slot, &self.job)
@@ -877,6 +742,12 @@ impl JobTicket {
     /// job's participants observe the halt and drain. Idempotent.
     pub fn cancel(&self) {
         self.job.engine.cancel_run(&self.job.state);
+        self.finalize_if_idle();
+    }
+
+    /// Finalises a halted job that has no participant to do it: one no
+    /// worker has picked up yet, or one that never reached the queue.
+    fn finalize_if_idle(&self) {
         let finalize = {
             let mut slot = self.shared.slot.lock().expect("pool lock");
             try_elect_finalizer(&mut slot, &self.job)
@@ -940,45 +811,33 @@ fn pool_worker(shared: Arc<PoolShared>, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{PlacementPolicy, RuntimeConfig};
+    use crate::executor::RuntimeConfig;
+    use crate::metrics::Metrics;
     use crate::token::Token;
     use tpdf_core::examples::figure2_graph;
-    use tpdf_manycore::MappingStrategy;
     use tpdf_symexpr::Binding;
 
     fn binding(p: i64) -> Binding {
         Binding::from_pairs([("p", p)])
     }
 
-    #[test]
-    fn pooled_runs_match_scoped_runs() {
-        let graph = figure2_graph();
-        let registry = KernelRegistry::new();
-        let pool = ExecutorPool::new(4);
-        for placement in [
-            PlacementPolicy::WorkStealing,
-            PlacementPolicy::Affinity(MappingStrategy::RoundRobin),
-        ] {
-            let config = RuntimeConfig::new(binding(3))
-                .with_threads(4)
-                .with_iterations(3)
-                .with_placement(placement);
-            let scoped = Executor::new(&graph, config.clone())
-                .unwrap()
-                .run(&registry)
-                .unwrap();
-            let executor = pool.executor(&graph, config).unwrap();
-            let pooled = pool.run(&executor, &registry).unwrap();
-            assert_eq!(pooled.firings, scoped.firings, "{placement:?}");
-            assert_eq!(pooled.tokens_pushed, scoped.tokens_pushed, "{placement:?}");
-            assert_eq!(pooled.iterations, 3);
-            assert_eq!(pooled.placement, placement);
-            assert_eq!(
-                pooled.worker_firings.iter().sum::<u64>(),
-                pooled.firings.iter().sum::<u64>(),
-                "per-worker firings must account for every firing"
-            );
-        }
+    /// A plain blocking run: the default request, submitted and waited.
+    fn run(
+        pool: &ExecutorPool,
+        executor: &Executor<'_>,
+        registry: &KernelRegistry,
+    ) -> Result<Metrics, RuntimeError> {
+        submit(pool, &executor.compile(), registry)
+            .wait()
+            .map(|outcome| outcome.metrics)
+    }
+
+    fn submit(
+        pool: &ExecutorPool,
+        compiled: &CompiledExecutor,
+        registry: &KernelRegistry,
+    ) -> JobTicket {
+        pool.submit(compiled, registry, RunRequest::default(), None)
     }
 
     #[test]
@@ -988,7 +847,7 @@ mod tests {
         let executor = pool
             .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(8))
             .unwrap();
-        let metrics = pool.run(&executor, &KernelRegistry::new()).unwrap();
+        let metrics = run(&pool, &executor, &KernelRegistry::new()).unwrap();
         assert!(metrics.effective_workers <= 2);
         assert_eq!(metrics.worker_firings.len(), metrics.effective_workers);
     }
@@ -1009,7 +868,7 @@ mod tests {
             .with_real_time(std::time::Duration::from_micros(1));
         let executor = pool.executor(&graph, config).unwrap();
         for _ in 0..500 {
-            let metrics = pool.run(&executor, &registry).unwrap();
+            let metrics = run(&pool, &executor, &registry).unwrap();
             assert_eq!(metrics.iterations, 1);
         }
     }
@@ -1020,22 +879,21 @@ mod tests {
         let pool = ExecutorPool::new(2);
         let mut bad = KernelRegistry::new();
         bad.register_fn("B", |_| panic!("kernel bug"));
-        // A panic on a secondary worker is converted into an error (a
-        // panic on the caller propagates, which scoped runs do too).
-        // Either way the pool must stay serviceable afterwards.
+        // Whichever participant fires B — the spawned worker or the
+        // waiting caller — the panic is contained as the job's error,
+        // and the pool must stay serviceable afterwards.
         let config = RuntimeConfig::new(binding(2)).with_threads(2);
         let executor = pool.executor(&graph, config).unwrap();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(&executor, &bad)));
-        // `Err` means the caller-side worker hit the panic itself.
-        if let Ok(result) = outcome {
-            assert!(result.is_err(), "panicking kernel must fail the run");
-        }
+        assert!(matches!(
+            run(&pool, &executor, &bad),
+            Err(RuntimeError::KernelFailed { .. })
+        ));
         let mut good = KernelRegistry::new();
         good.register_fn("B", |ctx| {
             ctx.fill_outputs_cycling(&[Token::Int(1)]);
             Ok(())
         });
-        let metrics = pool.run(&executor, &good).unwrap();
+        let metrics = run(&pool, &executor, &good).unwrap();
         assert_eq!(metrics.iterations, 1);
     }
 
@@ -1052,8 +910,8 @@ mod tests {
             .run(&registry)
             .unwrap();
         let compiled = pool.executor(&graph, config).unwrap().compile();
-        let ticket = pool.submit(&compiled, &registry);
-        let metrics = ticket.wait().unwrap();
+        let ticket = submit(&pool, &compiled, &registry);
+        let metrics = ticket.wait().unwrap().metrics;
         assert_eq!(metrics.firings, reference.firings);
         assert_eq!(metrics.iterations, 4);
     }
@@ -1076,10 +934,10 @@ mod tests {
                     .unwrap(),
             );
             let compiled = pool.executor(&graph, config).unwrap().compile();
-            tickets.push(pool.submit(&compiled, &registry));
+            tickets.push(submit(&pool, &compiled, &registry));
         }
         for (ticket, reference) in tickets.into_iter().zip(&references) {
-            let metrics = ticket.wait().unwrap();
+            let metrics = ticket.wait().unwrap().metrics;
             assert_eq!(metrics.firings, reference.firings);
             // Per-job tally: every firing of this job is accounted to
             // one of this job's participation slots.
@@ -1100,9 +958,9 @@ mod tests {
             .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(1))
             .unwrap()
             .compile();
-        let ticket = pool.submit(&compiled, &registry);
+        let ticket = submit(&pool, &compiled, &registry);
         assert!(!ticket.is_finished());
-        let metrics = ticket.wait().unwrap();
+        let metrics = ticket.wait().unwrap().metrics;
         assert_eq!(metrics.iterations, 1);
     }
 
@@ -1115,7 +973,7 @@ mod tests {
             .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(1))
             .unwrap()
             .compile();
-        let ticket = pool.submit(&compiled, &registry);
+        let ticket = submit(&pool, &compiled, &registry);
         // Spin until the workers finish the job, then drain the result.
         while !ticket.is_finished() {
             std::thread::yield_now();
@@ -1136,7 +994,7 @@ mod tests {
             .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(1))
             .unwrap()
             .compile();
-        let ticket = pool.submit(&compiled, &registry);
+        let ticket = submit(&pool, &compiled, &registry);
         ticket.cancel();
         assert!(ticket.is_finished());
         assert!(matches!(
@@ -1154,7 +1012,7 @@ mod tests {
             .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(1))
             .unwrap()
             .compile();
-        let ticket = pool.submit(&compiled, &registry);
+        let ticket = submit(&pool, &compiled, &registry);
         while !ticket.is_finished() {
             std::thread::yield_now();
         }
@@ -1185,12 +1043,12 @@ mod tests {
             )
             .unwrap()
             .compile();
-        let long_ticket = pool.submit(&long, &registry);
+        let long_ticket = submit(&pool, &long, &registry);
         let short = pool
             .executor(&graph, RuntimeConfig::new(binding(1)).with_threads(1))
             .unwrap()
             .compile();
-        let short_ticket = pool.submit(&short, &registry);
+        let short_ticket = submit(&pool, &short, &registry);
         // The freed secondary must pick the short job up and finish it
         // long before the 20k-iteration job ends (generous deadline —
         // the stand-down is bounded by the stall timeout).
@@ -1206,6 +1064,66 @@ mod tests {
         long_ticket.wait().unwrap();
     }
 
+    /// The other half of stand-down: a collapsed job *regains* a worker
+    /// once its cost estimate recovers. Phase one (p = 1) is rate-only
+    /// and collapses the job onto its first participant — the second
+    /// pool worker stands down, or finds the job already collapsed and
+    /// passes it over. Phase two (p = 2, entered through the binding
+    /// sequence) sleeps in every kernel: the estimate recovers within a
+    /// few samples and the hunt's bounded re-poll hands the freed slot
+    /// back. Without that, slot 1 ends the run with at most its
+    /// cold-start firings (a few dozen) and the heavy phase runs on one
+    /// worker.
+    #[test]
+    fn collapsed_job_regains_a_worker_when_it_turns_heavy() {
+        use std::time::Duration;
+        const CHEAP_ITERATIONS: usize = 1500;
+        const HEAVY_ITERATIONS: u64 = 60;
+        let graph = figure2_graph();
+        let pool = ExecutorPool::detached(2);
+        let heavy = Arc::new(AtomicBool::new(false));
+        let mut registry = KernelRegistry::new();
+        for node in ["A", "B", "C", "D", "E", "F"] {
+            let heavy = Arc::clone(&heavy);
+            registry.register_fn(node, move |ctx| {
+                // A produces p tokens per firing and opens every
+                // iteration, so its rate announces the phase.
+                if &*ctx.node == "A" {
+                    heavy.store(ctx.outputs[0].rate > 1, Ordering::Relaxed);
+                }
+                if heavy.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+                ctx.fill_outputs_from_inputs();
+                Ok(())
+            });
+        }
+        let mut sequence = vec![binding(1); CHEAP_ITERATIONS];
+        sequence.push(binding(2));
+        let config = RuntimeConfig::new(binding(1))
+            .with_threads(2)
+            .with_iterations(CHEAP_ITERATIONS as u64 + HEAVY_ITERATIONS)
+            .with_binding_sequence(sequence);
+        // Own telemetry: the verdict must be learned inside this job.
+        let compiled = Executor::new(&graph, config).unwrap().compile();
+        let ticket = submit(&pool, &compiled, &registry);
+        // Polled, not waited on: `wait` would lend this thread as the
+        // job's second participant.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !ticket.is_finished() {
+            assert!(Instant::now() < deadline, "two-phase job never finished");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let metrics = ticket.try_take().expect("finished").unwrap().metrics;
+        // q = [2, 2p, p, p, 2p, 2p]: 18 firings per heavy iteration.
+        let heavy_firings = HEAVY_ITERATIONS * 18;
+        assert!(
+            metrics.worker_firings[1] >= heavy_firings / 5,
+            "slot 1 must share the heavy phase ({heavy_firings} firings): {:?}",
+            metrics.worker_firings
+        );
+    }
+
     #[test]
     fn panicking_job_does_not_poison_concurrent_jobs() {
         let graph = figure2_graph();
@@ -1217,10 +1135,10 @@ mod tests {
             .with_threads(1)
             .with_iterations(50);
         let compiled = pool.executor(&graph, config).unwrap().compile();
-        let bad_ticket = pool.submit(&compiled, &bad);
-        let good_ticket = pool.submit(&compiled, &good_registry);
+        let bad_ticket = submit(&pool, &compiled, &bad);
+        let good_ticket = submit(&pool, &compiled, &good_registry);
         assert!(bad_ticket.wait().is_err(), "panicking job must fail");
-        let metrics = good_ticket.wait().unwrap();
+        let metrics = good_ticket.wait().unwrap().metrics;
         assert_eq!(metrics.iterations, 50, "neighbour job must be untouched");
     }
 
@@ -1235,10 +1153,16 @@ mod tests {
             .compile();
         let fired = Arc::new(AtomicUsize::new(0));
         let observer = Arc::clone(&fired);
-        let ticket = pool.submit_with(&compiled, &registry, move || {
+        let on_complete = Box::new(move || {
             observer.fetch_add(1, Ordering::SeqCst);
         });
-        let metrics = ticket.wait().unwrap();
+        let ticket = pool.submit(
+            &compiled,
+            &registry,
+            RunRequest::default(),
+            Some(on_complete),
+        );
+        let metrics = ticket.wait().unwrap().metrics;
         assert_eq!(metrics.iterations, 1);
         // The callback runs on the finalising worker *after* the result
         // is published — waiters are not ordered against it, so give
@@ -1274,7 +1198,7 @@ mod tests {
             .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(2))
             .unwrap()
             .compile();
-        let metrics = pool.submit(&compiled, &registry).wait().unwrap();
+        let metrics = submit(&pool, &compiled, &registry).wait().unwrap().metrics;
         assert_eq!(metrics.pinned_cores, pinned);
     }
 }

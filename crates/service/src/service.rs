@@ -11,7 +11,7 @@ use tpdf_runtime::executor::ClockMode;
 use tpdf_runtime::pool::JobTicket;
 use tpdf_runtime::{
     CompiledExecutor, Executor, ExecutorPool, KernelRegistry, Metrics, ProgressSnapshot,
-    RuntimeConfig, RuntimeError,
+    RunRequest, RuntimeConfig, RuntimeError,
 };
 use tpdf_trace::{EventKind, Tracer};
 
@@ -1284,9 +1284,15 @@ impl Shared {
             }
             let callback_shared = Arc::clone(shared);
             let callback_pool = Arc::clone(pool);
-            let ticket = pool.submit_with(&pending.compiled, &pending.registry, move || {
+            let on_complete = Box::new(move || {
                 Shared::on_job_complete(&callback_shared, &callback_pool, session, request);
             });
+            let ticket = pool.submit(
+                &pending.compiled,
+                &pending.registry,
+                RunRequest::default(),
+                Some(on_complete),
+            );
             let mut inner = shared.inner.lock().expect("service lock");
             let placeholder_ok = inner.sessions.get(&session).is_some_and(|entry| {
                 entry
@@ -1357,7 +1363,10 @@ impl Shared {
             entry.inflight = Some((inflight_request, None));
             return None;
         };
-        let result = ticket.try_take().unwrap_or(Err(RuntimeError::Cancelled));
+        let result = ticket
+            .try_take()
+            .unwrap_or(Err(RuntimeError::Cancelled))
+            .map(|outcome| outcome.metrics);
         if let Some(tracer) = shared.trace() {
             let latency = entry
                 .inflight_since

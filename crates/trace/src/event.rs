@@ -194,8 +194,7 @@ pub struct TraceEvent {
     /// lifecycle events.
     pub lane: u16,
     /// The job tag of the emitting run: a session's trace tag in a
-    /// service, a pool-assigned id for untagged pooled jobs, 0 for
-    /// plain scoped runs.
+    /// service, a pool-assigned id for untagged jobs.
     pub job: u32,
     /// First operand (kind-specific; usually the node or session).
     /// Full-width so monotone ids never alias.

@@ -23,17 +23,6 @@ use tpdf_suite::service::{ServiceConfig, TpdfService};
 
 const RUNS: u64 = 3;
 
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The served apps: four OFDM variants. ----------------------
     let variants = [
@@ -68,7 +57,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_max_sessions(8)
             .with_queue_capacity(2),
     ));
-    let baseline_threads = os_thread_count();
     // feed_runs: 1 keeps the feed high-water mark at one run, so the
     // pipelining client below provably overruns it even when runs
     // drain in microseconds.
@@ -160,9 +148,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "service drained: {} runs completed, {} requests refused by backpressure",
         report.runs_completed, report.requests_rejected
     );
-    if let (Some(before), Some(after)) = (baseline_threads, os_thread_count()) {
-        println!("OS threads: {before} before the server, {after} after shutdown");
-        assert!(after <= before, "thread leak");
-    }
     Ok(())
 }

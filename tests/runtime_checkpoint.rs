@@ -8,7 +8,7 @@
 //! and resume the remaining iterations from the decoded bytes. The
 //! resumed run must produce **byte-identical sink token streams, mode
 //! sequences and firing counts** to the run that never stopped — on a
-//! scoped executor, on a fresh [`ExecutorPool`], on the *same* pool
+//! one-call executor, on a fresh [`ExecutorPool`], on the *same* pool
 //! that took the checkpoint, and across thread counts and placement
 //! policies (the checkpoint stores no schedule, only the Kahn state,
 //! so any schedule may finish the run).
@@ -47,9 +47,10 @@ use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::checkpoint::{checksum, VERSION};
 use tpdf_suite::runtime::kernel::KernelRegistry;
 use tpdf_suite::runtime::{
-    ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError, EdgeDetectionRuntime,
-    Executor, ExecutorPool, FmRadioRuntime, Metrics, OfdmRuntime, OutputCapture, PayloadEncoding,
-    PayloadRuntime, PlacementPolicy, RuntimeConfig, Token, TokenBytes,
+    ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError, CompiledExecutor,
+    EdgeDetectionRuntime, Executor, ExecutorPool, FmRadioRuntime, Metrics, OfdmRuntime,
+    OutputCapture, PayloadEncoding, PayloadRuntime, PlacementPolicy, RunOutcome, RunRequest,
+    RuntimeConfig, RuntimeError, Token, TokenBytes,
 };
 use tpdf_suite::sim::engine::ControlPolicy;
 use tpdf_suite::symexpr::Binding;
@@ -117,10 +118,25 @@ fn assert_resumed_matches(resumed: &Metrics, full: &Metrics, context: &str) {
     assert_eq!(rebind_key(resumed), rebind_key(full), "rebinds {context}");
 }
 
+/// One blocking run on `pool`: the request, submitted and waited.
+fn submit_and_wait(
+    pool: &ExecutorPool,
+    compiled: &CompiledExecutor,
+    registry: &KernelRegistry,
+    resume: Option<&Checkpoint>,
+    checkpoint_at_end: bool,
+) -> Result<RunOutcome, RuntimeError> {
+    let request = RunRequest {
+        resume,
+        checkpoint_at_end,
+    };
+    pool.submit(compiled, registry, request, None).wait()
+}
+
 /// The harness core: runs `graph` uninterrupted for `total`
 /// iterations, then for **every** barrier k in `1..total` crashes at
 /// k, round-trips the checkpoint through the byte codec, and restores
-/// under every thread count and placement policy — on a scoped
+/// under every thread count and placement policy — on a one-call
 /// executor, on a fresh pool with a different worker count, and (at
 /// the middle barrier) on the same pool that took the checkpoint.
 /// `build_registry` must wire a fresh registry + sink capture per
@@ -207,9 +223,9 @@ fn assert_crash_restart_equivalence(
         .compile();
         let (registry, capture) = build_registry();
         capture.restore_tokens(decoded.captured.clone());
-        let resumed = pool
-            .run_restored(&compiled, &registry, &decoded)
-            .unwrap_or_else(|e| panic!("pooled restore {context}: {e}"));
+        let resumed = submit_and_wait(&pool, &compiled, &registry, Some(&decoded), false)
+            .unwrap_or_else(|e| panic!("pooled restore {context}: {e}"))
+            .metrics;
         assert_resumed_matches(&resumed, &full, &context);
         assert_eq!(
             capture.take_tokens(),
@@ -229,18 +245,19 @@ fn assert_crash_restart_equivalence(
             .expect("pooled prefix executor")
             .compile();
         let (registry, capture) = build_registry();
-        let (_, mut checkpoint) = pool
-            .run_checkpointed(&prefix, &registry)
-            .unwrap_or_else(|e| panic!("pooled prefix {context}: {e}"));
+        let mut checkpoint = submit_and_wait(&pool, &prefix, &registry, None, true)
+            .unwrap_or_else(|e| panic!("pooled prefix {context}: {e}"))
+            .checkpoint
+            .expect("requested");
         checkpoint.captured = capture.snapshot_tokens();
         let compiled = Executor::new(graph, config.clone().with_iterations(total).with_threads(2))
             .expect("pooled restore executor")
             .compile();
         let (registry, capture) = build_registry();
         capture.restore_tokens(checkpoint.captured.clone());
-        let resumed = pool
-            .run_restored(&compiled, &registry, &checkpoint)
-            .unwrap_or_else(|e| panic!("same-pool restore {context}: {e}"));
+        let resumed = submit_and_wait(&pool, &compiled, &registry, Some(&checkpoint), false)
+            .unwrap_or_else(|e| panic!("same-pool restore {context}: {e}"))
+            .metrics;
         assert_resumed_matches(&resumed, &full, &context);
         assert_eq!(
             capture.take_tokens(),
@@ -319,6 +336,71 @@ fn payload_blocks_crash_restart_reinlines_slices() {
         &|| port.registry(PayloadEncoding::Block),
         "payload rows",
     );
+}
+
+/// The four [`RunRequest`] combinations (resume × checkpoint_at_end)
+/// are the four kinds of segment a run can be cut into: whole, head,
+/// middle, tail. Every chain of segments below ends at the same final
+/// barrier and must leave the sink stream, mode sequences and firing
+/// counts of the uninterrupted run, at 1 and at 4 threads; a
+/// checkpoint comes back exactly when the request asked for one.
+#[test]
+fn every_run_request_combination_matches_the_uninterrupted_run() {
+    const TOTAL: u64 = 4;
+    let port = FmRadioRuntime::new(FmRadioConfig { bands: 3, block: 8 }, 29);
+    let graph = port.graph();
+    let config = RuntimeConfig::new(port.binding()).with_policy(ControlPolicy::Alternate(vec![
+        Mode::SelectOne(2),
+        Mode::SelectOne(0),
+        Mode::SelectOne(1),
+    ]));
+    let (registry, capture) = port.registry();
+    let full = Executor::new(&graph, config.clone().with_iterations(TOTAL))
+        .expect("uninterrupted executor")
+        .run(&registry)
+        .expect("uninterrupted run");
+    let expected = capture.take_tokens();
+    assert!(!expected.is_empty());
+
+    // Each chain lists the barrier every segment runs to: segment 0
+    // starts fresh, later ones resume; all but the last one cut.
+    let chains: [&[u64]; 3] = [&[TOTAL], &[2, TOTAL], &[1, 3, TOTAL]];
+    for threads in [1usize, 4] {
+        let pool = ExecutorPool::new(threads);
+        for chain in chains {
+            let context = format!("for segments {chain:?} at {threads} threads");
+            let (registry, capture) = port.registry();
+            let mut checkpoint: Option<Checkpoint> = None;
+            let mut last = None;
+            for (i, &barrier) in chain.iter().enumerate() {
+                let cut = i + 1 < chain.len();
+                let segment = config
+                    .clone()
+                    .with_iterations(barrier)
+                    .with_threads(threads);
+                let compiled = Executor::new(&graph, segment)
+                    .expect("segment executor")
+                    .compile();
+                let outcome =
+                    submit_and_wait(&pool, &compiled, &registry, checkpoint.as_ref(), cut)
+                        .unwrap_or_else(|e| panic!("segment to barrier {barrier} {context}: {e}"));
+                assert_eq!(outcome.metrics.iterations, barrier, "{context}");
+                assert_eq!(
+                    outcome.checkpoint.as_ref().map(|c| c.iteration),
+                    cut.then_some(barrier),
+                    "a checkpoint comes back iff requested {context}"
+                );
+                checkpoint = outcome.checkpoint;
+                last = Some(outcome.metrics);
+            }
+            assert_resumed_matches(&last.expect("chains are non-empty"), &full, &context);
+            assert_eq!(
+                capture.take_tokens(),
+                expected,
+                "sink stream diverges {context}"
+            );
+        }
+    }
 }
 
 proptest! {

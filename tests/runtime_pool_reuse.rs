@@ -1,9 +1,10 @@
-//! Reuse guarantees of the persistent [`ExecutorPool`]: repeated `run`
-//! calls on one pool must spawn no new threads (worker count constant
-//! for the pool's lifetime), must report *per-run* metrics (nothing
-//! accumulates across runs), and must carry the firing-cost EWMA across
-//! runs — a fine-grained graph classified in run 1 starts run 2 on the
-//! collapsed single-worker fast path without re-sampling from scratch.
+//! Reuse guarantees of the persistent [`ExecutorPool`]: repeated runs
+//! on one pool must keep its worker count constant, must report
+//! *per-run* metrics (nothing accumulates across runs), and must carry
+//! the firing-cost EWMA across runs — a fine-grained graph classified
+//! in run 1 starts run 2 on the collapsed single-worker fast path
+//! without re-sampling from scratch. (That no run leaks an OS thread
+//! is asserted in `tests/thread_leaks.rs`, which owns its process.)
 //!
 //! CI matrix knobs:
 //!
@@ -11,22 +12,14 @@
 //! * `TPDF_TEST_PLACEMENT` — `worksteal`, `affinity` or `all`
 //!   (default `all`).
 
-use std::sync::{Mutex, OnceLock};
 use tpdf_suite::core::examples::figure2_graph;
 use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::kernel::KernelRegistry;
-use tpdf_suite::runtime::{ExecutorPool, PlacementPolicy, RuntimeConfig};
+use tpdf_suite::runtime::{
+    Executor, ExecutorPool, Metrics, PlacementPolicy, RunRequest, RuntimeConfig,
+};
 use tpdf_suite::sim::engine::{SimulationConfig, Simulator};
 use tpdf_suite::symexpr::Binding;
-
-/// Serialises the tests of this file: the OS-thread-count assertions
-/// must not race against another test creating or dropping a pool.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("serial lock")
-}
 
 /// Pool sizes from `TPDF_TEST_THREADS`. A spec that parses to nothing
 /// is a hard error — running zero pools would pass vacuously.
@@ -66,26 +59,19 @@ fn binding(p: i64) -> Binding {
     Binding::from_pairs([("p", p)])
 }
 
-/// The process's current OS thread count, from `/proc/self/status`
-/// (Linux-only; `None` elsewhere, where the test falls back to the
-/// pool's own accounting).
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
+/// A plain blocking run: the default request, submitted and waited.
+fn run(pool: &ExecutorPool, executor: &Executor<'_>, registry: &KernelRegistry) -> Metrics {
+    pool.submit(&executor.compile(), registry, RunRequest::default(), None)
+        .wait()
+        .expect("run completes")
+        .metrics
 }
 
-/// N runs on one pool with *differing binding sequences*: no thread
-/// leak, per-run (not accumulated) metrics, firing counts matching the
-/// count-level reference of each run's own configuration.
+/// N runs on one pool with *differing binding sequences*: a constant
+/// worker count, per-run (not accumulated) metrics, firing counts
+/// matching the count-level reference of each run's own configuration.
 #[test]
-fn repeated_runs_leak_no_threads_and_reset_metrics() {
-    let _guard = serial();
+fn repeated_runs_keep_the_pool_size_and_reset_metrics() {
     let graph = figure2_graph();
     let registry = KernelRegistry::new();
     for threads in pool_sizes() {
@@ -93,7 +79,6 @@ fn repeated_runs_leak_no_threads_and_reset_metrics() {
             let pool = ExecutorPool::new(threads);
             assert_eq!(pool.worker_count(), threads);
             assert_eq!(pool.spawned_workers(), threads - 1);
-            let after_spawn = os_thread_count();
 
             let sequences: [Vec<Binding>; 4] = [
                 vec![binding(1)],
@@ -116,7 +101,7 @@ fn repeated_runs_leak_no_threads_and_reset_metrics() {
                 .run_iterations(4)
                 .unwrap();
                 let executor = pool.executor(&graph, config).unwrap();
-                let metrics = pool.run(&executor, &registry).unwrap();
+                let metrics = run(&pool, &executor, &registry);
                 // Per-run metrics: every run reports its own 4
                 // iterations and its own reference-matching firing
                 // counts — nothing carries over from earlier runs.
@@ -135,19 +120,10 @@ fn repeated_runs_leak_no_threads_and_reset_metrics() {
             assert_eq!(all_metrics[1].firings, all_metrics[3].firings);
             assert_eq!(all_metrics[1].tokens_pushed, all_metrics[3].tokens_pushed);
 
-            // No thread leak: the pool's workers were spawned at
-            // construction and none were added by any run.
+            // The pool's workers were spawned at construction and
+            // none were added by any run.
             assert_eq!(pool.worker_count(), threads);
             assert_eq!(pool.spawned_workers(), threads - 1);
-            if let (Some(before), Some(after)) = (after_spawn, os_thread_count()) {
-                assert_eq!(
-                    before,
-                    after,
-                    "OS thread count changed across {} pooled runs \
-                     ({placement:?} @ {threads} workers)",
-                    sequences.len()
-                );
-            }
         }
     }
 }
@@ -163,11 +139,9 @@ fn repeated_runs_leak_no_threads_and_reset_metrics() {
 /// any cross-job accumulation.
 #[test]
 fn concurrent_jobs_tally_worker_metrics_per_job() {
-    let _guard = serial();
     let graph = figure2_graph();
     let registry = KernelRegistry::new();
     let pool = ExecutorPool::detached(4);
-    let before = os_thread_count();
 
     let params: [i64; 6] = [1, 2, 3, 4, 2, 3];
     let mut tickets = Vec::new();
@@ -183,10 +157,10 @@ fn concurrent_jobs_tally_worker_metrics_per_job() {
                 .unwrap(),
         );
         let compiled = pool.executor(&graph, config).unwrap().compile();
-        tickets.push(pool.submit(&compiled, &registry));
+        tickets.push(pool.submit(&compiled, &registry, RunRequest::default(), None));
     }
     for (ticket, reference) in tickets.into_iter().zip(&references) {
-        let metrics = ticket.wait().unwrap();
+        let metrics = ticket.wait().unwrap().metrics;
         assert_eq!(metrics.firings, reference.firings);
         // Per-job tally: this job's participation slots account for
         // exactly this job's firings — no bleed from the jobs that ran
@@ -207,12 +181,6 @@ fn concurrent_jobs_tally_worker_metrics_per_job() {
             "steals are a subset of the job's own firings"
         );
     }
-
-    // The concurrent burst ran entirely on the workers spawned at
-    // construction.
-    if let (Some(before), Some(after)) = (before, os_thread_count()) {
-        assert_eq!(before, after, "no thread may be spawned per job");
-    }
 }
 
 /// The EWMA telemetry carries across runs: a fine-grained graph is
@@ -222,7 +190,6 @@ fn concurrent_jobs_tally_worker_metrics_per_job() {
 /// not on one executor's plans.
 #[test]
 fn telemetry_carries_over_and_collapses_run_two() {
-    let _guard = serial();
     let graph = figure2_graph();
     let registry = KernelRegistry::new();
     let pool = ExecutorPool::new(2);
@@ -238,7 +205,7 @@ fn telemetry_carries_over_and_collapses_run_two() {
                 .with_iterations(5),
         )
         .unwrap();
-    let metrics1 = pool.run(&first, &registry).unwrap();
+    let metrics1 = run(&pool, &first, &registry);
     assert_eq!(metrics1.effective_workers, 2.min(pool.worker_count()));
     let learned = pool
         .sampled_firing_cost_ns()
@@ -259,7 +226,7 @@ fn telemetry_carries_over_and_collapses_run_two() {
         second.sampled_firing_cost_ns().is_some(),
         "a pool-built executor shares the pool's telemetry"
     );
-    let metrics2 = pool.run(&second, &registry).unwrap();
+    let metrics2 = run(&pool, &second, &registry);
     assert_eq!(
         metrics2.effective_workers, 1,
         "run 2 must start on the collapsed single-worker path \

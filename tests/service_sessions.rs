@@ -3,9 +3,10 @@
 //! FM radio) under mixed per-session `RuntimeConfig`s (thread counts,
 //! placement policies, control policies, binding sequences) — share one
 //! pool, and every session's sink token stream must be **byte-identical
-//! to its solo run**; the pool spawns no thread per session; one
-//! panicking session must not poison its neighbours; admission
-//! rejections must be observable in `ServiceMetrics`.
+//! to its solo run**; one panicking session must not poison its
+//! neighbours; admission rejections must be observable in
+//! `ServiceMetrics`. (That the pool spawns no thread per session is
+//! asserted in `tests/thread_leaks.rs`, which owns its process.)
 //!
 //! CI matrix knob: `TPDF_SERVICE_THREADS` — pool worker count
 //! (default 4).
@@ -39,19 +40,6 @@ fn service_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// The process's current OS thread count, from `/proc/self/status`
-/// (Linux-only; `None` elsewhere).
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
 /// One prepared session: the graph, its per-session configuration, the
 /// registry wired for the service run, the service-side capture, and
 /// the solo-run reference tokens.
@@ -61,7 +49,7 @@ struct SessionSpec {
     config: RuntimeConfig,
     registry: KernelRegistry,
     capture: Option<OutputCapture>,
-    /// Sink tokens of `RUNS_PER_SESSION` solo scoped runs on a fresh
+    /// Sink tokens of `RUNS_PER_SESSION` solo `Executor::run`s on a fresh
     /// registry — the byte-identical reference.
     solo_tokens: Option<Vec<Token>>,
 }
@@ -247,9 +235,7 @@ fn figure2_spec() -> SessionSpec {
 }
 
 #[test]
-fn concurrent_sessions_match_solo_runs_without_leaks_or_poisoning() {
-    // Solo references first: scoped runs spawn-and-join their own
-    // threads, so they are done long before the leak check baselines.
+fn concurrent_sessions_match_solo_runs_without_poisoning() {
     let mut specs = Vec::new();
     specs.extend(edge_specs());
     specs.extend(ofdm_specs());
@@ -268,7 +254,6 @@ fn concurrent_sessions_match_solo_runs_without_leaks_or_poisoning() {
             .with_max_sessions(session_budget)
             .with_queue_capacity(RUNS_PER_SESSION as usize),
     );
-    let baseline_threads = os_thread_count();
 
     // A deliberately panicking session rides along with the healthy
     // ones: its runs must fail, its neighbours must not notice.
@@ -386,16 +371,6 @@ fn concurrent_sessions_match_solo_runs_without_leaks_or_poisoning() {
         assert_eq!(spec_metrics.queue_depth, 0);
         assert!(!spec_metrics.running);
     }
-
-    // No OS-thread leak: everything ran on the workers the service
-    // spawned at construction.
-    if let (Some(before), Some(after)) = (baseline_threads, os_thread_count()) {
-        assert_eq!(
-            before, after,
-            "OS thread count changed across {} sessions × {RUNS_PER_SESSION} runs",
-            session_budget
-        );
-    }
 }
 
 /// A Clock-driven deadline graph whose sessions carry real admission
@@ -428,8 +403,7 @@ fn deadline_graph(work: u64, period: u64) -> TpdfGraph {
 /// **mid-stream** (each with a run still in flight or queued when the
 /// migration starts; `migrate_session` drains to the request barrier
 /// itself). Every session's accumulated sink capture must stay
-/// byte-identical to its solo run, no OS thread may leak, and a
-/// migration towards a service whose deadline capacity is exhausted
+/// byte-identical to its solo run, and a migration towards a service whose deadline capacity is exhausted
 /// must be refused — leaving the victim serving on the source.
 #[test]
 fn live_migration_between_services_preserves_streams() {
@@ -454,8 +428,7 @@ fn live_migration_between_services_preserves_streams() {
             .with_threads(2)
             .with_max_sessions(specs.len()),
     );
-    // The capacity-exhausted target for the refusal leg below; built up
-    // front so the thread-leak baseline covers all three pools.
+    // The capacity-exhausted target for the refusal leg below.
     let full_target = TpdfService::new(ServiceConfig::default().with_threads(1));
     let deadline = deadline_graph(10, 30);
     let deadline_config = || {
@@ -466,7 +439,6 @@ fn live_migration_between_services_preserves_streams() {
     full_target
         .open_session(&deadline, deadline_config(), KernelRegistry::new())
         .expect("the first deadline session fits the target");
-    let baseline_threads = os_thread_count();
 
     // The panicking rider stays busy on the source while the
     // migrations drain their victims.
@@ -601,14 +573,6 @@ fn live_migration_between_services_preserves_streams() {
     assert_eq!(target_report.restores, 3);
     assert_eq!(target_report.runs_completed, 3);
     assert!(full_target.drain().sessions_rejected >= 1);
-
-    // Two services, one move wave, zero leaked OS threads.
-    if let (Some(before), Some(after)) = (baseline_threads, os_thread_count()) {
-        assert_eq!(
-            before, after,
-            "OS thread count changed across the migration"
-        );
-    }
 }
 
 /// The drain-vs-migrate race: `drain()` and `migrate_session` both
@@ -634,7 +598,6 @@ fn drain_racing_migration_strands_no_waiter_and_keeps_ledgers_consistent() {
             .with_threads(2)
             .with_max_sessions(specs.len()),
     );
-    let baseline_threads = os_thread_count();
 
     // Admit and load every session so the race starts with the pool
     // busy: drain has something to wait for, and each migration's
@@ -752,13 +715,4 @@ fn drain_racing_migration_strands_no_waiter_and_keeps_ledgers_consistent() {
         matches!(refused, Err(ServiceError::Draining)),
         "a drained source must stay drained: {refused:?}"
     );
-
-    if let (Some(before), Some(after)) = (baseline_threads, os_thread_count()) {
-        // `<=`: a scoped solo-run thread from spec construction may
-        // still be winding down when the baseline is taken.
-        assert!(
-            after <= before,
-            "thread leak across the race: {before} OS threads before, {after} after"
-        );
-    }
 }
