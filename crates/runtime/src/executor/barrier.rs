@@ -56,9 +56,7 @@ impl Engine {
         self.beacon.barrier();
         let finished = state.iteration.fetch_add(1, Ordering::Relaxed) + 1;
         if finished >= self.config.iterations {
-            state.park.lock().expect("park lock").done = true;
-            state.halt.store(true, Ordering::SeqCst);
-            state.cond.notify_all();
+            self.complete_run(state);
         } else {
             // Rebind: switch the plan and grow any ring the new phase
             // needs larger. Rate consistency returns every channel to

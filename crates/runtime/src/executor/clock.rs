@@ -66,21 +66,16 @@ impl Engine {
             {
                 continue;
             }
-            state.in_flight.fetch_add(1, Ordering::SeqCst);
-            if ns
-                .claimed
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            // Re-check under the claim: another worker may have fired
-            // this very tick between the check above and the CAS.
-            let remaining = ns.budget.load(Ordering::Acquire);
-            let tick = self.tick_instant(start, node, ns.fired_total.load(Ordering::Relaxed), unit);
-            let due = remaining > 0 && Instant::now() >= tick;
-            let fired = if due {
+            let fired = self.attempt(state, me, node, scratch, |_| {
+                // Re-check under the claim: another worker may have
+                // fired this very tick between the check above and the
+                // CAS.
+                let remaining = ns.budget.load(Ordering::Acquire);
+                let tick =
+                    self.tick_instant(start, node, ns.fired_total.load(Ordering::Relaxed), unit);
+                if remaining == 0 || Instant::now() < tick {
+                    return None;
+                }
                 if let Some(tracer) = self.trace() {
                     // Tick lateness: how long past its wall-clock
                     // deadline this tick actually fired.
@@ -91,16 +86,8 @@ impl Engine {
                 }
                 let plan_idx = state.plan.load(Ordering::Relaxed);
                 let ordinal = self.plans[plan_idx].counts[node] - remaining;
-                match self.fire_clock_claimed(state, node, ordinal, plan_idx, me) {
-                    Ok(()) => self.finish_firing(state, me, node, scratch),
-                    Err(error) => self.fail(state, error),
-                }
-                true
-            } else {
-                ns.claimed.store(false, Ordering::Release);
-                false
-            };
-            state.in_flight.fetch_sub(1, Ordering::SeqCst);
+                Some(self.fire_clock_claimed(state, node, ordinal, plan_idx, me))
+            });
             if fired {
                 return true;
             }

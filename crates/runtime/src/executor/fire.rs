@@ -122,10 +122,10 @@ impl Engine {
     /// participant stands down (returning `true`, see
     /// [`Engine::worker_loop`]) — the one place that chooses between
     /// the two loops. A 1-worker Virtual-clock run skips the
-    /// coordination layer entirely: no claim CAS, no in-flight
-    /// bracketing, no epoch/wake traffic, no ready-queue locks — just
-    /// claim, execute, publish. This is the path fine-grained graphs
-    /// collapse to whatever the configured pool size.
+    /// coordination layer entirely: no [`Engine::attempt`] (so no claim
+    /// CAS, no progress word, no wake traffic), no ready-queue locks —
+    /// just claim, execute, publish. This is the path fine-grained
+    /// graphs collapse to whatever the configured pool size.
     pub(crate) fn participate(
         &self,
         state: &RunState,
@@ -187,10 +187,10 @@ impl Engine {
             if me != 0 && !real_time && self.fine_grained() {
                 break true;
             }
-            // The epoch is captured before looking for work so that a
-            // completion racing with the hunt below is detectable when
-            // parking.
-            let epoch = state.epoch.load(Ordering::SeqCst);
+            // The progress word is loaded before looking for work so
+            // that an attempt racing with the hunt below is detectable
+            // when parking.
+            let seen = state.progress.load(Ordering::SeqCst);
             let steal_ok = !affinity || starved >= AFFINITY_STEAL_THRESHOLD;
             // 3. Ready-queue hint: own queue first; foreign queues only
             //    when stealing is allowed.
@@ -241,7 +241,7 @@ impl Engine {
                 continue;
             }
             // 5. Nothing claimable anywhere: park (or report a stall).
-            self.park(state, me, epoch, start);
+            self.park(state, me, seen, start);
         };
         state.flush_arena(scratch.arena.stats());
         stood_down
@@ -250,10 +250,9 @@ impl Engine {
     /// The de-synchronised single-worker loop (Virtual clocks only):
     /// the same claim → execute → publish pipeline as
     /// [`Engine::worker_loop`], with none of the cross-worker
-    /// machinery — no claim CAS, no in-flight bracketing, no
-    /// epoch/wake traffic, no ready queues. Token streams are
-    /// identical by the determinacy argument; only the schedule
-    /// differs.
+    /// machinery — no [`Engine::attempt`], no ready queues. Token
+    /// streams are identical by the determinacy argument; only the
+    /// schedule differs.
     fn run_single(&self, state: &RunState, registry: &KernelRegistry, start: Instant) {
         let mut scratch = FireScratch {
             sample_mask: 63,
@@ -360,12 +359,13 @@ impl Engine {
         None
     }
 
-    /// Attempts to claim and run one firing of `node`. Returns `true`
-    /// when a firing was executed (successfully or not — errors halt
-    /// the run through the park state). `stolen` marks a hint popped
-    /// from a foreign queue, for the per-worker steal metric.
+    /// Attempts to claim and run one firing of `node` through
+    /// [`Engine::attempt`]. Returns `true` when a firing was executed
+    /// (successfully or not — errors halt the run). `stolen` marks a
+    /// hint popped from a foreign queue, for the per-worker steal
+    /// metric.
     #[allow(clippy::too_many_arguments)]
-    fn try_fire(
+    pub(super) fn try_fire(
         &self,
         state: &RunState,
         me: usize,
@@ -380,46 +380,22 @@ impl Engine {
         if real_time && info.is_clock {
             return false;
         }
-        let ns = &state.nodes[node];
-        if ns.budget.load(Ordering::Acquire) == 0 {
+        if state.nodes[node].budget.load(Ordering::Acquire) == 0 {
             return false;
         }
-        // `in_flight` brackets the whole attempt (not just held claims)
-        // so the stall detector in `park` cannot observe a moment where
-        // a worker is about to fire yet nothing appears active.
-        state.in_flight.fetch_add(1, Ordering::SeqCst);
-        let fired = if ns
-            .claimed
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            false
-        } else {
-            match self.try_claim_node(state, node, real_time, scratch) {
-                None => {
-                    ns.claimed.store(false, Ordering::Release);
-                    false
-                }
-                Some(claim) => {
-                    // A boundary crossing: a hint stolen from a foreign
-                    // queue, or (under affinity) a foreign-home node
-                    // fired by a starved worker.
-                    if stolen || !self.is_home(state, node, me, state.queues.len()) {
-                        state.worker_steals[me].fetch_add(1, Ordering::Relaxed);
-                        if let Some(tracer) = self.trace() {
-                            tracer.event(me, EventKind::Steal, state.trace_job, node as u64, 0, 0);
-                        }
-                    }
-                    match self.execute_timed(state, claim, registry, start, me, scratch) {
-                        Ok(()) => self.finish_firing(state, me, node, scratch),
-                        Err(error) => self.fail(state, error),
-                    }
-                    true
+        self.attempt(state, me, node, scratch, |scratch| {
+            let claim = self.try_claim_node(state, node, real_time, scratch)?;
+            // A boundary crossing: a hint stolen from a foreign queue,
+            // or (under affinity) a foreign-home node fired by a
+            // starved worker.
+            if stolen || !self.is_home(state, node, me, state.queues.len()) {
+                state.worker_steals[me].fetch_add(1, Ordering::Relaxed);
+                if let Some(tracer) = self.trace() {
+                    tracer.event(me, EventKind::Steal, state.trace_job, node as u64, 0, 0);
                 }
             }
-        };
-        state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        fired
+            Some(self.execute_timed(state, claim, registry, start, me, scratch))
+        })
     }
 
     /// Executes a claimed firing and publishes its outputs. One in
@@ -853,10 +829,9 @@ impl Engine {
                 at: start.elapsed(),
             };
             state
-                .park
-                .lock()
-                .expect("park lock")
                 .deadline_selections
+                .lock()
+                .expect("deadline log lock")
                 .push(selection);
         }
         if ctx.deadline_missed {
@@ -879,15 +854,16 @@ impl Engine {
     }
 
     /// Commits a published firing: advances the node's counters,
-    /// releases the claim, enqueues the affected neighbours, handles
-    /// the iteration barrier, and signals progress.
+    /// releases the claim, enqueues the affected neighbours and handles
+    /// the iteration barrier. Returns whether the hints are worth
+    /// waking a parked peer for (see [`Engine::enqueue_candidates`]).
     pub(super) fn finish_firing(
         &self,
         state: &RunState,
         me: usize,
         node: usize,
         scratch: &mut FireScratch,
-    ) {
+    ) -> bool {
         let ns = &state.nodes[node];
         // The budget decrement precedes the claim release: the next
         // claimant's successful CAS pairs with the Release below, so it
@@ -900,7 +876,7 @@ impl Engine {
         if state.remaining_iter.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.iteration_barrier(state, me, &mut scratch.arena);
         }
-        self.signal_progress(state, surplus);
+        surplus
     }
 
     /// Enqueues the nodes whose readiness may have changed

@@ -75,7 +75,7 @@
 //! | `fire` | a participant's loop (`Engine::participate` is the one place that picks the single-worker loop or the shared worker loop) and the claim → execute → publish pipeline both loops share |
 //! | `barrier` | the iteration barrier: flush, rebind, republish the budgets — or finish |
 //! | `clock` | real-time clock ticks |
-//! | `stall` | park/wake, failure and cancellation, stall detection and its post-mortem, the progress beacon |
+//! | `stall` | the coordination protocol: the one attempt path (`Engine::attempt`, sole writer of the progress word), park/wake, the one halt path (completion, failure, cancellation, stall), the stall post-mortem, the progress beacon |
 //!
 //! This file holds what callers see — [`RuntimeConfig`], the
 //! [`Executor`] / [`CompiledExecutor`] shells, [`RunRequest`] /

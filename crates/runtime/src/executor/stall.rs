@@ -1,11 +1,14 @@
-//! Progress and its absence: the park/wake protocol, run teardown
-//! (failure, cancellation), stall detection with its post-mortem,
-//! and the liveness beacon external watchdogs poll.
+//! Progress and its absence: the whole coordination protocol — the
+//! attempt path that alone writes the progress word, park/wake, run
+//! teardown (completion, failure, cancellation), stall detection with
+//! its post-mortem — and the liveness beacon external watchdogs poll.
 
-use super::state::RunState;
+use super::fire::FireScratch;
+use super::state::{ParkInner, RunState};
 use super::{ClockMode, Engine};
 use crate::RuntimeError;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::MutexGuard;
 use std::time::{Duration, Instant};
 use tpdf_trace::EventKind;
 
@@ -104,20 +107,91 @@ pub struct ProgressSnapshot {
     pub since_progress: Option<Duration>,
 }
 
+/// One attempt's shares of [`RunState::progress`]: the low half counts
+/// open attempts, the high half committed firings (wrapping is
+/// harmless — the stall verdict only tests equality over one park).
+const OPEN: u64 = 1;
+const COMMIT: u64 = 1 << 32;
+const OPEN_MASK: u64 = COMMIT - 1;
+
+#[cfg(test)]
+type VerdictHook = fn(&Engine, &RunState);
+
+#[cfg(test)]
+thread_local! {
+    /// Runs inside [`Engine::park`] on the parking thread, under the
+    /// park lock, just before the verdict's load of the progress word:
+    /// the window in which a racing commit must still be noticed.
+    pub(super) static BEFORE_VERDICT: std::cell::Cell<Option<VerdictHook>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Stops the run: records `error` (the first one wins) or, for `None`,
+/// completion, and raises `halt` — both under the held park lock —
+/// then wakes every parked worker. The one place `halt` is stored and
+/// the one teardown notify.
+fn halt(state: &RunState, mut park: MutexGuard<'_, ParkInner>, error: Option<RuntimeError>) {
+    match error {
+        Some(error) => {
+            park.error.get_or_insert(error);
+        }
+        None => park.done = true,
+    }
+    state.halt.store(true, Ordering::SeqCst);
+    drop(park);
+    state.cond.notify_all();
+}
+
 impl Engine {
-    /// Publishes progress: bumps the epoch unconditionally (the stall
-    /// protocol depends on it) and wakes one parked worker when there
-    /// is surplus work. Completion chains with no surplus continue on
-    /// the completing worker alone — waking peers for work this worker
-    /// is about to take itself only burns context switches (ruinous on
-    /// few-core hosts); parked workers additionally rescan on their
-    /// stall timeout, so a skipped wake-up can delay stealing but never
-    /// block progress.
-    pub(super) fn signal_progress(&self, state: &RunState, surplus: bool) {
-        state.epoch.fetch_add(1, Ordering::SeqCst);
+    /// The one attempt path, and the only writer of
+    /// [`RunState::progress`]: every claim of a firing — a worker's
+    /// hunt or a due real-time clock — runs through here.
+    ///
+    /// Enters (one more open attempt), CASes the node's claim and runs
+    /// `body` under it. `body` returns `None` when the firing is not
+    /// ready, having changed nothing, and the claim is released;
+    /// otherwise the firing is committed, or its error fails the run.
+    /// Leaving is one RMW: a commit closes the attempt and counts a
+    /// firing together, anything else only closes it. Returns whether
+    /// a firing was committed (successfully or not).
+    ///
+    /// The wake comes after the leave: a parker that saw this attempt
+    /// still open holds the park lock until it waits, so passing
+    /// through the lock guarantees it is waiting when the notify lands.
+    /// Completion chains with no surplus continue on this worker alone
+    /// — waking peers for work it is about to take itself only burns
+    /// context switches (ruinous on few-core hosts); parked workers
+    /// also rescan on their stall timeout.
+    pub(super) fn attempt(
+        &self,
+        state: &RunState,
+        me: usize,
+        node: usize,
+        scratch: &mut FireScratch,
+        body: impl FnOnce(&mut FireScratch) -> Option<Result<(), RuntimeError>>,
+    ) -> bool {
+        state.progress.fetch_add(OPEN, Ordering::SeqCst);
+        let ns = &state.nodes[node];
+        let claimed = ns
+            .claimed
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok();
+        let surplus = match claimed.then(|| body(scratch)).flatten() {
+            None => {
+                if claimed {
+                    ns.claimed.store(false, Ordering::Release);
+                }
+                state.progress.fetch_sub(OPEN, Ordering::SeqCst);
+                return false;
+            }
+            Some(Ok(())) => self.finish_firing(state, me, node, scratch),
+            Some(Err(error)) => {
+                self.fail(state, error);
+                false
+            }
+        };
+        state.progress.fetch_add(COMMIT - OPEN, Ordering::SeqCst);
         if surplus && !self.fine_grained() && state.parked.load(Ordering::SeqCst) > 0 {
-            // Passing through the mutex pairs with a parker that checked
-            // the epoch but has not yet blocked on the condvar.
             drop(state.park.lock().expect("park lock"));
             if self.config.placement.is_affinity() {
                 // A hint may have been routed to a specific parked home
@@ -130,34 +204,35 @@ impl Engine {
                 state.cond.notify_one();
             }
         }
+        true
     }
 
     /// Parks an idle worker — or reports a stall.
     ///
-    /// Stall soundness: `epoch` was captured before the failed hunt for
-    /// work. If it is still unchanged here, no firing has completed
-    /// since, so the hunt's "nothing claimable" verdict still describes
-    /// the current state; if additionally `in_flight == 0`, no worker
-    /// is attempting or holding a claim (attempts bracket `in_flight`),
-    /// and if no real-time clock tick is pending either, the graph can
-    /// never make progress again.
-    pub(super) fn park(&self, state: &RunState, me: usize, epoch: u64, start: Instant) {
+    /// Stall soundness is one invariant of the progress word: state a
+    /// claim can observe changes only inside an open attempt, and an
+    /// attempt that changed it leaves by counting a commit. `seen` was
+    /// loaded before the failed hunt for work. If the word still equals
+    /// it with no attempt open, then no attempt was open when `seen`
+    /// was loaded and none has committed since — so every "not
+    /// claimable" the hunt saw still holds, including a claim CAS lost
+    /// to an attempt that has since closed without firing. With no
+    /// real-time clock tick pending either, the graph can never make
+    /// progress again.
+    pub(super) fn park(&self, state: &RunState, me: usize, seen: u64, start: Instant) {
         state.parked.fetch_add(1, Ordering::SeqCst);
         let guard = state.park.lock().expect("park lock");
-        let stale = state.epoch.load(Ordering::SeqCst) != epoch;
-        if !stale && !state.halt.load(Ordering::SeqCst) {
+        #[cfg(test)]
+        if let Some(hook) = BEFORE_VERDICT.take() {
+            hook(self, state);
+        }
+        if state.progress.load(Ordering::SeqCst) == seen && !state.halt.load(Ordering::SeqCst) {
             let next_tick = match &self.config.clock_mode {
                 ClockMode::RealTime { time_unit } => self.next_tick_in(state, start, *time_unit),
                 ClockMode::Virtual => None,
             };
-            if state.in_flight.load(Ordering::SeqCst) == 0 && next_tick.is_none() {
-                let mut guard = guard;
-                if guard.error.is_none() {
-                    guard.error = Some(self.stall_error(state));
-                }
-                state.halt.store(true, Ordering::SeqCst);
-                drop(guard);
-                state.cond.notify_all();
+            if seen & OPEN_MASK == 0 && next_tick.is_none() {
+                halt(state, guard, Some(self.stall_error(state)));
             } else {
                 let timeout = next_tick.unwrap_or(self.config.stall_timeout);
                 let tracer = self.trace();
@@ -179,15 +254,9 @@ impl Engine {
         state.parked.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Records a fatal error and halts the pool.
+    /// Records a fatal error and halts the run.
     pub(crate) fn fail(&self, state: &RunState, error: RuntimeError) {
-        let mut park = state.park.lock().expect("park lock");
-        if park.error.is_none() {
-            park.error = Some(error);
-        }
-        state.halt.store(true, Ordering::SeqCst);
-        drop(park);
-        state.cond.notify_all();
+        halt(state, state.park.lock().expect("park lock"), Some(error));
     }
 
     /// Cancels the run: like [`Engine::fail`] with
@@ -198,16 +267,15 @@ impl Engine {
     /// `Ok(Metrics)` into `Err(Cancelled)`, however late the metrics
     /// collection itself happens.
     pub(crate) fn cancel_run(&self, state: &RunState) {
-        let mut park = state.park.lock().expect("park lock");
-        if park.done {
-            return;
+        let park = state.park.lock().expect("park lock");
+        if !park.done {
+            halt(state, park, Some(RuntimeError::Cancelled));
         }
-        if park.error.is_none() {
-            park.error = Some(RuntimeError::Cancelled);
-        }
-        state.halt.store(true, Ordering::SeqCst);
-        drop(park);
-        state.cond.notify_all();
+    }
+
+    /// Marks the run complete (the final iteration barrier) and halts it.
+    pub(super) fn complete_run(&self, state: &RunState) {
+        halt(state, state.park.lock().expect("park lock"), None);
     }
 
     /// Names of nodes with remaining firings, for stall diagnostics.

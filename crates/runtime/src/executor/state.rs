@@ -45,13 +45,12 @@ pub(super) struct NodeRunState {
     pub(super) control_firings: AtomicU64,
 }
 
-/// Fields behind the park mutex: error/done teardown and the rare
-/// deadline-decision log.
+/// Fields behind the park mutex: how the run ended. Written only by
+/// the halt path in `stall`.
 #[derive(Debug, Default)]
 pub(super) struct ParkInner {
     pub(super) error: Option<RuntimeError>,
     pub(super) done: bool,
-    pub(super) deadline_selections: Vec<DeadlineSelection>,
 }
 
 /// All mutable state of one `run`, shared across the worker pool.
@@ -70,13 +69,11 @@ pub(crate) struct RunState {
     /// decrements it to zero runs the iteration barrier.
     pub(super) remaining_iter: AtomicU64,
     pub(super) iteration: AtomicU64,
-    /// Workers currently holding a claim or attempting one — part of
-    /// the stall-detection protocol (see `Engine::park`).
-    pub(super) in_flight: AtomicUsize,
+    /// The progress word: open claim attempts in the low 32 bits,
+    /// committed firings in the high 32. Written only by
+    /// `Engine::attempt`; `Engine::park` decides a stall from it.
+    pub(super) progress: AtomicU64,
     pub(super) halt: AtomicBool,
-    /// Bumped after every completed firing; parkers use it to detect
-    /// progress that raced with their failed scan.
-    pub(super) epoch: AtomicU64,
     pub(super) parked: AtomicUsize,
     pub(super) deadline_misses: AtomicU64,
     pub(super) vote_failures: AtomicU64,
@@ -97,6 +94,8 @@ pub(crate) struct RunState {
     pub(super) mode_log: Vec<Mutex<Vec<Mode>>>,
     /// Parameter rebindings applied at iteration barriers.
     pub(super) rebinds: Mutex<Vec<RebindEvent>>,
+    /// The rare deadline decisions of clock-driven Transactions.
+    pub(super) deadline_selections: Mutex<Vec<DeadlineSelection>>,
     /// Slab-arena traffic summed over the workers' private arenas, each
     /// flushed once when its worker leaves the loop (never per firing).
     pub(super) arena_hits: AtomicU64,
@@ -178,9 +177,8 @@ impl Engine {
             plan: AtomicUsize::new(0),
             remaining_iter: AtomicU64::new(plan.total_per_iter),
             iteration: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
+            progress: AtomicU64::new(0),
             halt: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
             deadline_misses: AtomicU64::new(0),
             vote_failures: AtomicU64::new(0),
@@ -209,6 +207,7 @@ impl Engine {
                 })
                 .collect(),
             rebinds: Mutex::new(Vec::new()),
+            deadline_selections: Mutex::new(Vec::new()),
             arena_hits: AtomicU64::new(0),
             arena_misses: AtomicU64::new(0),
             arena_recycled: AtomicU64::new(0),
@@ -364,11 +363,6 @@ impl Engine {
             });
         }
 
-        let park = ParkInner {
-            error: None,
-            done: false,
-            deadline_selections: checkpoint.metrics.deadline_selections.clone(),
-        };
         self.beacon.run_started();
         Ok(RunState {
             rings,
@@ -385,9 +379,8 @@ impl Engine {
             plan: AtomicUsize::new(phase),
             remaining_iter: AtomicU64::new(plan.total_per_iter),
             iteration: AtomicU64::new(checkpoint.iteration),
-            in_flight: AtomicUsize::new(0),
+            progress: AtomicU64::new(0),
             halt: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
             deadline_misses: AtomicU64::new(checkpoint.metrics.deadline_misses),
             vote_failures: AtomicU64::new(checkpoint.metrics.vote_failures),
@@ -407,12 +400,13 @@ impl Engine {
                 .map(|modes| Mutex::new(modes.clone()))
                 .collect(),
             rebinds: Mutex::new(rebinds),
+            deadline_selections: Mutex::new(checkpoint.metrics.deadline_selections.clone()),
             arena_hits: AtomicU64::new(checkpoint.metrics.arena_hits),
             arena_misses: AtomicU64::new(checkpoint.metrics.arena_misses),
             arena_recycled: AtomicU64::new(checkpoint.metrics.arena_recycled),
             arena_retired: AtomicU64::new(checkpoint.metrics.arena_retired),
             trace_job: self.config.trace_tag,
-            park: Mutex::new(park),
+            park: Mutex::new(ParkInner::default()),
             cond: Condvar::new(),
         })
     }
@@ -511,12 +505,9 @@ impl Engine {
         // watchdog distinguishes failure from stall by the error, not
         // by a hung counter.
         self.beacon.run_finished();
-        let park = state.park.lock().expect("no worker may panic");
-        if let Some(error) = &park.error {
+        if let Some(error) = &state.park.lock().expect("no worker may panic").error {
             return Err(error.clone());
         }
-        let deadline_selections = park.deadline_selections.clone();
-        drop(park);
         let firings: Vec<u64> = state
             .nodes
             .iter()
@@ -568,7 +559,11 @@ impl Engine {
             },
             deadline_misses: state.deadline_misses.load(Ordering::Relaxed),
             vote_failures: state.vote_failures.load(Ordering::Relaxed),
-            deadline_selections,
+            deadline_selections: state
+                .deadline_selections
+                .lock()
+                .expect("no worker may panic")
+                .clone(),
             mode_sequences,
             worker_firings: state
                 .worker_firings

@@ -454,6 +454,47 @@ fn stall_error_without_tracer_lists_budgets_only() {
     assert!(!diagnostics.contains("flight recorder tail"));
 }
 
+/// A firing that commits while a worker is parking — after its hunt,
+/// inside the park lock, just before the verdict — must be noticed:
+/// the parker may wait or rescan, but it must not report a stall. The
+/// commit is made on behalf of a second worker without taking the
+/// park lock (the parker holds it); every hint is pre-queued so the
+/// commit has no surplus to wake anyone for.
+#[test]
+fn commit_racing_the_stall_verdict_is_not_a_stall() {
+    let g = figure2_graph();
+    let mut config = RuntimeConfig::new(binding(2)).with_threads(2);
+    config.stall_timeout = Duration::from_millis(1);
+    let executor = Executor::new(&g, config).unwrap();
+    let engine = &executor.engine;
+    let state = engine.initial_state(2);
+    for ns in &state.nodes {
+        ns.queued.store(true, Ordering::Relaxed);
+    }
+    fn commit_as_worker_1(engine: &Engine, state: &RunState) {
+        let source = engine.nodes.iter().position(|n| &*n.name == "A").unwrap();
+        let mut scratch = fire::FireScratch::default();
+        let registry = KernelRegistry::new();
+        let fired = engine.try_fire(
+            state,
+            1,
+            source,
+            false,
+            &registry,
+            Instant::now(),
+            false,
+            &mut scratch,
+        );
+        assert!(fired, "the source must be claimable at the start of a run");
+    }
+    let seen = state.progress.load(Ordering::SeqCst);
+    stall::BEFORE_VERDICT.set(Some(commit_as_worker_1));
+    engine.park(&state, 0, seen, Instant::now());
+    let error = state.park.lock().unwrap().error.clone();
+    assert!(error.is_none(), "a racing commit was reported as {error:?}");
+    assert!(!state.halt.load(Ordering::SeqCst));
+}
+
 #[test]
 fn transaction_vote_selects_majority_value() {
     let g = fork_join_with_vote(3, 2);

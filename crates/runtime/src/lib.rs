@@ -118,6 +118,12 @@ pub enum RuntimeError {
     /// An invalid configuration was supplied.
     InvalidConfig(String),
     /// No node can make progress although the iteration is incomplete.
+    ///
+    /// Never expected: analysis proves every graph `Executor::new`
+    /// accepts live for every binding. A `Stalled` therefore reports
+    /// either a violated internal invariant of the executor (a bug) or
+    /// a restored [`Checkpoint`] whose channel contents contradict the
+    /// graph.
     Stalled {
         /// Names of nodes with remaining firings.
         blocked: Vec<String>,

@@ -573,7 +573,9 @@ impl ExecutorPool {
     /// * [`RuntimeError::Checkpoint`] when `request.resume` belongs to
     ///   a different graph, disagrees in shape, or leaves nothing to
     ///   resume (the job is finalised before any worker sees it);
-    /// * [`RuntimeError::Stalled`] when no node can make progress;
+    /// * [`RuntimeError::Stalled`] when no node can make progress —
+    ///   an internal-invariant violation, or a `request.resume`
+    ///   checkpoint whose channel contents contradict the graph;
     /// * [`RuntimeError::RateMismatch`] when a behaviour produced the
     ///   wrong number of tokens;
     /// * [`RuntimeError::KernelFailed`] raised by a behaviour, or

@@ -34,13 +34,15 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 use tpdf_suite::apps::edge_detection::EdgeDetectionApp;
 use tpdf_suite::apps::fm_radio::FmRadioConfig;
 use tpdf_suite::apps::image::GrayImage;
 use tpdf_suite::apps::ofdm::OfdmConfig;
 use tpdf_suite::core::control::{FnSelector, ModeSelector, TableTrace};
-use tpdf_suite::core::examples::figure2_graph;
+use tpdf_suite::core::examples::{figure2_graph, figure4a_graph};
 use tpdf_suite::core::graph::TpdfGraph;
 use tpdf_suite::core::mode::Mode;
 use tpdf_suite::manycore::MappingStrategy;
@@ -669,5 +671,58 @@ fn restore_rejects_wrong_graph_and_spent_checkpoints() {
             "spent checkpoint must say so: {e}"
         ),
         Ok(_) => panic!("a spent checkpoint must not restore"),
+    }
+}
+
+/// The one way a graph `Executor::new` accepts can stall at run time:
+/// analysis proves it live, so `Stalled` must come from a checkpoint
+/// whose channel contents contradict the graph. Figure 4(a)'s B ⇄ C
+/// cycle lives on its two initial tokens; a cut with them removed must
+/// be reported as a stall naming B and C, promptly, at every worker
+/// count — a stall verdict that could never fire fails the 1 s bound.
+#[test]
+fn restore_without_the_cycle_tokens_reports_a_stall() {
+    let graph = figure4a_graph();
+    let config = RuntimeConfig::new(Binding::from_pairs([("p", 3)]));
+    let (_, mut checkpoint) = Executor::new(&graph, config.clone().with_iterations(1))
+        .expect("cut executor")
+        .run_checkpointed(&KernelRegistry::new())
+        .expect("cut after one iteration");
+    let c_to_b = graph
+        .channels()
+        .position(|(_, ch)| graph.node(ch.source).name == "C" && graph.node(ch.target).name == "B")
+        .expect("figure 4(a) has a C -> B channel");
+    let contents = &mut checkpoint.channels[c_to_b].contents;
+    assert_eq!(contents.len(), 2, "the cut holds the cycle's two tokens");
+    *contents = ChannelContents::Data(Vec::new());
+
+    for threads in [1, 2, 4] {
+        let (graph, checkpoint) = (graph.clone(), checkpoint.clone());
+        let config = config.clone().with_threads(threads).with_iterations(2);
+        let (sender, receiver) = std::sync::mpsc::channel();
+        // A verdict that can never fire spins forever: run on a
+        // spawned thread, joined only once it has answered, so the
+        // bounded wait below fails the test instead of hanging it.
+        let runner = std::thread::spawn(move || {
+            let executor = Executor::new(&graph, config).expect("restore executor");
+            let _ = sender.send(executor.run_restored(&KernelRegistry::new(), &checkpoint));
+        });
+        let received = receiver.recv_timeout(Duration::from_secs(1));
+        if let Err(RecvTimeoutError::Timeout) = received {
+            panic!("threads = {threads}: no stall reported within 1 s");
+        }
+        runner.join().expect("the restored run panicked");
+        match received.expect("sent before the runner exits") {
+            Err(RuntimeError::Stalled {
+                blocked, iteration, ..
+            }) => {
+                assert!(
+                    ["B", "C"].iter().all(|n| blocked.iter().any(|b| b == n)),
+                    "threads = {threads}: the stall must name B and C, got {blocked:?}"
+                );
+                assert_eq!(iteration, 1, "threads = {threads}");
+            }
+            other => panic!("threads = {threads}: expected Stalled, got {other:?}"),
+        }
     }
 }
