@@ -585,7 +585,11 @@ impl<'a> Reader<'a> {
                     field,
                     detail: "image dimensions overflow".to_string(),
                 })?;
-                if self.remaining() < count * 4 {
+                let bytes = count.checked_mul(4).ok_or(FrameError::Malformed {
+                    field,
+                    detail: format!("an image of {count} pixels overflows"),
+                })?;
+                if self.remaining() < bytes {
                     return Err(FrameError::Truncated { field });
                 }
                 let mut pixels = Vec::with_capacity(count);
@@ -761,6 +765,42 @@ mod tests {
         put_field(&mut body, TAG_TOKENS, &tokens_payload);
         let hash = checksum(&body);
         body.extend_from_slice(&hash.to_le_bytes());
+        assert!(matches!(
+            Frame::decode(&body),
+            Err(FrameError::Malformed { .. })
+        ));
+    }
+
+    /// Where `needle` starts in `haystack`.
+    fn find(haystack: &[u8], needle: &[u8]) -> usize {
+        haystack
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("pattern present")
+    }
+
+    #[test]
+    fn forged_image_width_is_an_error_not_a_panic() {
+        // A valid 1x1 image whose width is then forged to 2^62 and the
+        // body resealed: width x height fits a usize, the pixel bytes
+        // do not.
+        let frame = Frame::Records {
+            tokens: vec![Token::Image(Arc::new(GrayImage::from_pixels(
+                1,
+                1,
+                vec![0.625],
+            )))],
+        };
+        let mut body = frame.encode();
+        let mut image = vec![5u8];
+        image.extend_from_slice(&1u64.to_le_bytes());
+        image.extend_from_slice(&1u64.to_le_bytes());
+        image.extend_from_slice(&0.625f32.to_le_bytes());
+        let width = find(&body, &image) + 1;
+        body[width..width + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let trailer = body.len() - 8;
+        let hash = checksum(&body[..trailer]);
+        body[trailer..].copy_from_slice(&hash.to_le_bytes());
         assert!(matches!(
             Frame::decode(&body),
             Err(FrameError::Malformed { .. })

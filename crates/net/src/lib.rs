@@ -15,7 +15,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`frame`] | The wire codec: [`Frame`], [`FrameReader`], [`FrameError`] — checksummed, never panics on garbage |
-//! | [`server`] | [`NetServer`]: the poll-style readiness loop feeding the service |
+//! | [`server`] | [`NetServer`]: the readiness loop feeding the service, woken by sockets and run completions |
 //! | [`client`] | [`NetClient`]: a small blocking client for tests and examples |
 //! | [`metrics`] | [`NetMetrics`]: the counted ledger, exportable via snapshot codec and Prometheus |
 //! | [`ofdm`] | [`ofdm::wire_fed_ofdm`]: the Figure 7 demodulator served over the wire |
@@ -32,7 +32,10 @@
 //! println!("serving on {}", server.local_addr());
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied crate-wide and re-allowed in exactly one place:
+// the `ppoll(2)` declaration and call in `sys`, the loop's readiness
+// wait, which `std` does not wrap. Everything else is safe `std::net`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -40,6 +43,7 @@ pub mod frame;
 pub mod metrics;
 pub mod ofdm;
 pub mod server;
+mod sys;
 
 pub use client::{HelloAck, NetClient, NetClientError};
 pub use frame::{BackoffReason, Frame, FrameError, FrameReader};

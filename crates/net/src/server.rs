@@ -1,4 +1,4 @@
-//! The non-blocking ingestion server: a poll-style readiness loop on
+//! The non-blocking ingestion server: a readiness loop on
 //! `std::net` feeding [`tpdf_service::TpdfService`] sessions from TCP
 //! connections.
 //!
@@ -12,13 +12,41 @@
 //! per connection: the pool behind the service does the compute, the
 //! sweep only moves bytes and frames.
 //!
+//! A sweep that moves nothing ends in one blocking wait (`ppoll(2)` on
+//! Linux) over the listener, every connection that is being read or
+//! has bytes to write, and a wake socket. The service calls the
+//! server's waker (registered with
+//! [`tpdf_service::TpdfService::add_waker`]) on every run completion,
+//! dispatch, close and cancel, which writes one byte to that socket —
+//! so a `Barrier` is read as soon as it arrives and a finished run's
+//! `Result` is sent as soon as the run ends, not on a timer. While
+//! anything is in flight (a pending or parked barrier, unsent output,
+//! a paused or closing connection) the wait is capped at
+//! [`NetConfig::poll_interval`], so a missed wake costs at most one
+//! interval; with nothing in flight the loop sleeps until the nearest
+//! idle-eviction deadline. Other platforms sleep `poll_interval` after
+//! such a sweep.
+//!
+//! Under load the loop polls on a fixed cadence instead, as a network
+//! driver switches from interrupts to polling when busy: while two or
+//! more submitted runs await their results, a sweep that moves nothing
+//! is followed by a 300 µs sleep (or `poll_interval`, if shorter), and
+//! the next sweep collects every result and frame that came in
+//! meanwhile. A wake per completion would cost a cross-CPU wake-up per
+//! result and have the I/O thread contend with the pool workers for
+//! the CPU at the end of every run, which leaves a saturated server's
+//! rate to the host's scheduling noise; on a cadence it is set by the
+//! cadence. With one run outstanding the loop is woken the moment it
+//! ends, which is the latency a lightly loaded server sees.
+//!
 //! # Backpressure, end to end
 //!
 //! Nothing is ever dropped and nothing buffers without bound:
 //!
 //! * a `Barrier` refused by the session's bounded ingress queue
 //!   ([`tpdf_service::ServiceError::Backpressure`]) is **parked** and
-//!   retried each sweep; the client is told with a
+//!   retried each sweep (a run completion wakes the loop for it); the
+//!   client is told with a
 //!   [`Frame::Backoff`]`(QueueFull)`;
 //! * a session's token feed beyond its configured high-water mark
 //!   pauses **socket reads** for that connection
@@ -56,6 +84,11 @@ use tpdf_trace::{EventKind, Tracer};
 
 use crate::frame::{write_frame, BackoffReason, Frame, FrameReader};
 use crate::metrics::NetMetrics;
+use crate::sys::Waiter;
+
+/// The sweep cadence while two or more submitted runs await their
+/// results (see the module docs).
+const LOADED_SWEEP: Duration = Duration::from_micros(300);
 
 /// Hard bound on buffered feed depth, in multiples of the configured
 /// high-water mark: a connection whose unconsumed records exceed
@@ -79,7 +112,15 @@ pub struct NetConfig {
     /// A connection whose outgoing buffer makes no progress for this
     /// long (a slow client not draining its results) is evicted.
     pub write_stall_timeout: Duration,
-    /// Sweep sleep when a pass makes no progress.
+    /// The longest the loop waits after a sweep that moved nothing
+    /// while work is in flight (a pending or parked barrier, unsent
+    /// output, a paused or closing connection). It wakes earlier when a
+    /// socket becomes ready or the service reports a state change; with
+    /// nothing in flight it waits only for those and for the next
+    /// idle eviction. While two or more runs await their results the
+    /// loop sweeps every 300 µs instead, or every `poll_interval` if
+    /// that is shorter. Platforms without the readiness wait sleep this
+    /// long after every such sweep.
     pub poll_interval: Duration,
     /// Feed high-water mark, in runs: buffered input tokens beyond
     /// `feed_runs × tokens_per_run` pause reads from the connection.
@@ -199,6 +240,9 @@ pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     metrics: Arc<NetMetrics>,
+    /// Wakes the loop; registered with the service, which holds it
+    /// weakly, so dropping the server unregisters it.
+    waker: Arc<dyn Fn() + Send + Sync>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -226,6 +270,10 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(NetMetrics::new());
         let tracer = service.config().tracer.clone();
+        let waiter = Waiter::new()?;
+        let wake = waiter.wake();
+        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || wake.wake());
+        service.add_waker(&waker);
         let mut rt = Loop {
             listener,
             service,
@@ -236,6 +284,8 @@ impl NetServer {
             tracer,
             conns: Vec::new(),
             next_conn: 1,
+            waiter,
+            read_buf: vec![0; 65536].into_boxed_slice(),
         };
         let handle = std::thread::Builder::new()
             .name("tpdf-net".to_string())
@@ -244,6 +294,7 @@ impl NetServer {
             local_addr,
             stop,
             metrics,
+            waker,
             handle: Some(handle),
         })
     }
@@ -273,6 +324,7 @@ impl NetServer {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Relaxed);
+        (self.waker)();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -335,6 +387,10 @@ struct Loop {
     tracer: Option<Arc<Tracer>>,
     conns: Vec<Conn>,
     next_conn: u64,
+    waiter: Waiter,
+    /// Socket read scratch, allocated once rather than zeroed on the
+    /// stack for every read.
+    read_buf: Box<[u8]>,
 }
 
 impl Loop {
@@ -347,7 +403,7 @@ impl Loop {
             }
             self.reap();
             if !progress {
-                std::thread::sleep(self.config.poll_interval);
+                self.wait();
             }
         }
         // Shutdown: cancel what is still live so pool work stops.
@@ -358,6 +414,46 @@ impl Loop {
             }
         }
         self.reap();
+    }
+
+    /// Blocks until a socket is ready, the service reports a state
+    /// change, or the next timed event is due; under load, sleeps one
+    /// [`LOADED_SWEEP`] instead (see the module docs).
+    fn wait(&mut self) {
+        let outstanding: usize = self.conns.iter().map(|conn| conn.pending.len()).sum();
+        if outstanding >= 2 {
+            std::thread::sleep(self.config.poll_interval.min(LOADED_SWEEP));
+            return;
+        }
+        let now = Instant::now();
+        let mut in_flight = false;
+        let mut next_eviction: Option<Duration> = None;
+        self.waiter.watch(&self.listener, true, false);
+        for conn in &self.conns {
+            let busy = !conn.pending.is_empty()
+                || !conn.parked.is_empty()
+                || !conn.outbuf.is_empty()
+                || conn.paused
+                || conn.closing;
+            in_flight |= busy;
+            if !busy {
+                // `None` (an unrepresentable deadline) never evicts.
+                if let Some(due) = conn.last_read.checked_add(self.config.idle_timeout) {
+                    let left = due.saturating_duration_since(now);
+                    next_eviction = Some(next_eviction.map_or(left, |t| t.min(left)));
+                }
+            }
+            let read = !conn.paused && !conn.closing;
+            self.waiter
+                .watch(&conn.stream, read, !conn.outbuf.is_empty());
+        }
+        let poll = self.config.poll_interval;
+        let timeout = if in_flight {
+            Some(next_eviction.map_or(poll, |t| t.min(poll)))
+        } else {
+            next_eviction
+        };
+        self.waiter.wait(timeout, poll);
     }
 
     fn trace(&self, kind: EventKind, a: u64, b: u64, c: u64) {
@@ -535,10 +631,10 @@ impl Loop {
         // reader behind the records that tripped the high-water mark
         // would never run and the feed would never drain.
         if !self.conns[i].paused {
-            let mut buf = [0u8; 65536];
             loop {
                 let conn = &mut self.conns[i];
-                match conn.stream.read(&mut buf) {
+                let buf = &mut self.read_buf[..];
+                match conn.stream.read(buf) {
                     Ok(0) => {
                         self.disconnect(i);
                         return true;
@@ -566,11 +662,12 @@ impl Loop {
             if self.conns[i].dead.is_some() || self.conns[i].closing {
                 break;
             }
+            let buffered = self.conns[i].reader.buffered();
             match self.conns[i].reader.next_frame() {
                 Ok(Some(frame)) => {
                     progress = true;
                     self.metrics.frames_in.fetch_add(1, Relaxed);
-                    let len = frame.encode().len() as u64;
+                    let len = (buffered - self.conns[i].reader.buffered()) as u64;
                     self.trace(
                         EventKind::FrameRecv,
                         self.conns[i].id,

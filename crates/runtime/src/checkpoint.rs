@@ -396,7 +396,11 @@ impl<'a> Reader<'a> {
                         field,
                         detail: "image dimensions overflow".to_string(),
                     })?;
-                if self.remaining() < count * 4 {
+                let bytes = count.checked_mul(4).ok_or(CheckpointError::Malformed {
+                    field,
+                    detail: format!("an image of {count} pixels overflows"),
+                })?;
+                if self.remaining() < bytes {
                     return Err(CheckpointError::Truncated { field });
                 }
                 let mut pixels = Vec::with_capacity(count);
@@ -700,6 +704,40 @@ mod tests {
             captured: vec![Token::Int(9), Token::Block(TokenBytes::new(vec![7u8; 9]))],
             metrics: zero_metrics(),
         }
+    }
+
+    #[test]
+    fn forged_image_width_is_an_error_not_a_panic() {
+        // A valid 1x1 image whose width is then forged to 2^62 and the
+        // checkpoint resealed: width x height fits a usize, the pixel
+        // bytes do not.
+        let mut checkpoint = empty_checkpoint();
+        checkpoint.channels.push(ChannelCheckpoint {
+            capacity: 1,
+            contents: ChannelContents::Data(vec![Token::Image(Arc::new(GrayImage::from_pixels(
+                1,
+                1,
+                vec![0.625],
+            )))]),
+        });
+        let mut bytes = checkpoint.encode();
+        let mut image = vec![5u8];
+        image.extend_from_slice(&1u64.to_le_bytes());
+        image.extend_from_slice(&1u64.to_le_bytes());
+        image.extend_from_slice(&0.625f32.to_le_bytes());
+        let width = bytes
+            .windows(image.len())
+            .position(|w| w == image)
+            .expect("image token present")
+            + 1;
+        bytes[width..width + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let trailer = bytes.len() - 8;
+        let hash = checksum(&bytes[..trailer]);
+        bytes[trailer..].copy_from_slice(&hash.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(CheckpointError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   sessions run concurrently on the shared pool, each in its own
 //!   isolated run state — a panicking session fails only itself.
 //! * [`TpdfService::poll`] / [`TpdfService::wait`] observe progress and
-//!   collect per-run [`tpdf_runtime::Metrics`];
+//!   collect per-run [`tpdf_runtime::Metrics`] (a thread that polls
+//!   with [`TpdfService::try_take`] instead sleeps on a waker
+//!   registered with [`TpdfService::add_waker`]);
 //!   [`TpdfService::cancel`] cancels a session (in-flight run halted,
 //!   queued requests dropped); [`TpdfService::close`] retires it after
 //!   its queue drains; [`TpdfService::drain`] gracefully finishes all

@@ -3,8 +3,8 @@
 use crate::metrics::{ServiceMetrics, SessionMetrics, SessionPhase};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 use tpdf_core::graph::TpdfGraph;
 use tpdf_runtime::executor::ClockMode;
@@ -413,8 +413,18 @@ struct Shared {
     inner: Mutex<Inner>,
     /// Notified on every state change: completions, retirements,
     /// dispatches — what blocked admissions and `drain`/`wait` sleep
-    /// on.
+    /// on. Always through [`Shared::notify`], which also calls the
+    /// wakers.
     cond: Condvar,
+    /// Wakers registered with [`TpdfService::add_waker`]; dead ones are
+    /// dropped whenever the list is walked.
+    wakers: Mutex<Vec<Waker>>,
+    /// Whether `wakers` is non-empty, so a service nobody watches pays
+    /// one load per notification and never takes the wakers lock.
+    /// Relaxed: it publishes nothing (the list is read under its lock),
+    /// and a registration that happens before a notification is seen
+    /// by it through coherence alone.
+    has_wakers: AtomicBool,
     config: ServiceConfig,
     /// Source of per-session trace tags (the Chrome "process" ids):
     /// small positive integers, disjoint from the pool's self-assigned
@@ -422,7 +432,22 @@ struct Shared {
     trace_tags: AtomicU32,
 }
 
+/// A state-change callback held weakly: the registrant owns it.
+type Waker = Weak<dyn Fn() + Send + Sync>;
+
 impl Shared {
+    /// Wakes everything that sleeps on a state change: the condvar's
+    /// waiters, then every live registered waker.
+    fn notify(&self) {
+        self.cond.notify_all();
+        if !self.has_wakers.load(Relaxed) {
+            return;
+        }
+        let mut wakers = self.wakers.lock().expect("wakers lock");
+        wakers.retain(|waker| waker.upgrade().map(|wake| wake()).is_some());
+        self.has_wakers.store(!wakers.is_empty(), Relaxed);
+    }
+
     /// The service tracer, when installed *and* enabled.
     fn trace(&self) -> Option<&Tracer> {
         self.config
@@ -526,6 +551,8 @@ impl TpdfService {
             shared: Arc::new(Shared {
                 inner: Mutex::new(Inner::default()),
                 cond: Condvar::new(),
+                wakers: Mutex::new(Vec::new()),
+                has_wakers: AtomicBool::new(false),
                 config,
                 trace_tags: AtomicU32::new(0),
             }),
@@ -542,6 +569,26 @@ impl TpdfService {
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.shared.config
+    }
+
+    /// Registers `waker` to be called after every state change that a
+    /// blocked [`TpdfService::wait`] or [`TpdfService::drain`] would
+    /// observe: a run completing, a request dispatched, a session
+    /// closed or cancelled, a drain or migration. This is how a thread
+    /// that polls the service with [`TpdfService::try_take`] sleeps
+    /// until there is something to take.
+    ///
+    /// The service keeps only a weak reference: dropping the last
+    /// `Arc` unregisters the waker, and dead entries are pruned here
+    /// and whenever the wakers are called, so binding and dropping
+    /// watchers does not grow the list. The waker runs on whichever
+    /// thread made the change (often a pool worker) and must neither
+    /// block nor call back into the service.
+    pub fn add_waker(&self, waker: &Arc<dyn Fn() + Send + Sync>) {
+        let mut wakers = self.shared.wakers.lock().expect("wakers lock");
+        wakers.retain(|waker| waker.strong_count() > 0);
+        wakers.push(Arc::downgrade(waker));
+        self.shared.has_wakers.store(true, Relaxed);
     }
 
     /// Admits a new session: analyses `graph` under the session's own
@@ -838,7 +885,7 @@ impl TpdfService {
         }
         Inner::maybe_retire(&mut inner, session.0);
         drop(inner);
-        self.shared.cond.notify_all();
+        self.shared.notify();
         Ok(target)
     }
 
@@ -908,7 +955,7 @@ impl TpdfService {
         }
         let pending = inner.begin_dispatch(session.0);
         drop(inner);
-        self.shared.cond.notify_all();
+        self.shared.notify();
         if let Some(pending) = pending {
             Shared::run_dispatch(&self.shared, &self.pool, pending);
         }
@@ -1031,7 +1078,7 @@ impl TpdfService {
         }
         Inner::maybe_retire(&mut inner, session.0);
         drop(inner);
-        self.shared.cond.notify_all();
+        self.shared.notify();
         Ok(())
     }
 
@@ -1092,7 +1139,7 @@ impl TpdfService {
         if let Some(ticket) = ticket {
             ticket.cancel();
         }
-        self.shared.cond.notify_all();
+        self.shared.notify();
         Ok(())
     }
 
@@ -1106,7 +1153,7 @@ impl TpdfService {
         // Admissions parked under `AdmissionPolicy::Block` must wake to
         // observe the drain and error out — nothing else will ever
         // notify them on an idle service.
-        self.shared.cond.notify_all();
+        self.shared.notify();
         while inner.sessions.values().any(|s| !s.idle()) {
             inner = self.shared.cond.wait(inner).expect("service lock");
         }
@@ -1305,7 +1352,7 @@ impl Shared {
                 // orphan job is halted and its result dropped.
                 drop(inner);
                 ticket.cancel();
-                shared.cond.notify_all();
+                shared.notify();
                 return;
             }
             let entry = inner
@@ -1327,7 +1374,7 @@ impl Shared {
                 None
             };
             drop(inner);
-            shared.cond.notify_all();
+            shared.notify();
             if let Some(handle) = halt_handle {
                 handle.cancel();
             }
@@ -1413,7 +1460,7 @@ impl Shared {
             let mut inner = shared.inner.lock().expect("service lock");
             Shared::record_completion(shared, &mut inner, session, request)
         };
-        shared.cond.notify_all();
+        shared.notify();
         if let Some(pending) = pending {
             Shared::run_dispatch(shared, pool, pending);
         }
@@ -1867,6 +1914,54 @@ mod tests {
         source.wait(session, request).unwrap();
         assert_eq!(source.metrics().migrations, 0);
         assert_eq!(target.metrics().restores, 0);
+    }
+
+    #[test]
+    fn wakers_fire_on_completion_and_are_held_weakly() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+
+        let service = TpdfService::new(ServiceConfig::default().with_threads(1));
+        // Watchers bound and dropped leave nothing behind.
+        let dropped_calls = Arc::new(AtomicUsize::new(0));
+        for _ in 0..50 {
+            let calls = Arc::clone(&dropped_calls);
+            let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+                calls.fetch_add(1, Relaxed);
+            });
+            service.add_waker(&waker);
+        }
+        let (tx, rx) = mpsc::channel();
+        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+            let _ = tx.send(());
+        });
+        service.add_waker(&waker);
+        assert_eq!(service.shared.wakers.lock().unwrap().len(), 1);
+
+        // A poller that sleeps only on the waker still sees the result.
+        let graph = figure2_graph();
+        let session = service
+            .open_session(
+                &graph,
+                RuntimeConfig::new(binding(2)).with_threads(1),
+                KernelRegistry::new(),
+            )
+            .unwrap();
+        let request = service.submit(session).unwrap();
+        let metrics = loop {
+            if let Some(result) = service.try_take(session, request).unwrap() {
+                break result.unwrap();
+            }
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("the completion must call the waker");
+        };
+        assert_eq!(metrics.firings, vec![2, 4, 2, 2, 4, 4]);
+        assert_eq!(dropped_calls.load(Relaxed), 0, "a dropped waker ran");
+
+        drop(waker);
+        service.close(session).unwrap();
+        assert!(service.shared.wakers.lock().unwrap().is_empty());
+        assert!(!service.shared.has_wakers.load(Relaxed));
     }
 
     #[test]

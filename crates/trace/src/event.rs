@@ -93,7 +93,8 @@ pub enum EventKind {
     /// The net layer accepted a client connection: `a` = connection id.
     ConnAccept = 26,
     /// A complete frame arrived on a connection: `a` = connection id,
-    /// `b` = frame type byte, `c` = frame length in bytes.
+    /// `b` = frame type byte, `c` = bytes the frame took on the wire
+    /// (its 4-byte length prefix included).
     FrameRecv = 27,
     /// Backpressure was signalled to a client (full ingress queue or
     /// admission refusal): `a` = connection id, `b` = session id.

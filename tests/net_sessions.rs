@@ -5,17 +5,21 @@
 //! observable (a pipelining client provably stalls on `Backoff`
 //! instead of losing records); wire garbage must close the connection
 //! with a counted protocol error, never a panic; a mid-run disconnect
-//! must cancel the session; and idle clients must be evicted. (That
+//! must cancel the session; idle clients must be evicted; the loop
+//! must be woken by sockets and run completions, not by its timer; and
+//! the committed v1 frames must decode and re-encode unchanged. (That
 //! the server leaks no OS thread is asserted in
 //! `tests/thread_leaks.rs`, which owns its process.)
 
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tpdf_suite::apps::ofdm::OfdmConfig;
+use tpdf_suite::net::frame::write_frame;
 use tpdf_suite::net::ofdm::{run_records, wire_fed_ofdm};
-use tpdf_suite::net::{NetApps, NetClient, NetConfig, NetServer};
+use tpdf_suite::net::{Frame, FrameReader, NetApps, NetClient, NetConfig, NetServer};
 use tpdf_suite::runtime::{Executor, Token};
 use tpdf_suite::service::{ServiceConfig, TpdfService};
 
@@ -360,4 +364,197 @@ fn idle_connections_are_evicted() {
     );
     assert!(server.metrics().conns_evicted >= 1);
     server.shutdown();
+}
+
+/// A shut gate a kernel waits at until the test opens it.
+type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+/// A server whose loop would sleep 5 s after every idle sweep if it
+/// slept on a timer, serving one OFDM app whose source first waits at
+/// `src_gate` (when given); returns the service, the server, one run's
+/// records and one run's solo output.
+fn five_second_interval_server(
+    queue_capacity: usize,
+    src_gate: Option<Gate>,
+) -> (Arc<TpdfService>, NetServer, Vec<Token>, Vec<Token>) {
+    let config = OfdmConfig {
+        symbol_len: 16,
+        cyclic_prefix: 2,
+        bits_per_symbol: 2,
+        vectorization: 2,
+    };
+    let (mut app, port) = wire_fed_ofdm(config, 23, 2);
+    let (solo_registry, solo_capture) = port.registry();
+    Executor::new(&app.graph, app.config.clone())
+        .expect("solo executor")
+        .run(&solo_registry)
+        .expect("solo run");
+    let solo = solo_capture.take_tokens();
+    assert!(!solo.is_empty(), "empty solo reference");
+    let records = run_records(&port);
+    if let Some(gate) = src_gate {
+        let build = Arc::clone(&app.build);
+        app.build = Arc::new(move |feed| {
+            let (mut registry, capture) = build(feed);
+            let wire_fed = registry.clone();
+            let gate = Arc::clone(&gate);
+            registry.register_fn("SRC", move |ctx| {
+                let (open, cond) = &*gate;
+                let mut open = open.lock().expect("gate lock");
+                while !*open {
+                    open = cond.wait(open).expect("gate lock");
+                }
+                drop(open);
+                wire_fed.get("SRC").expect("wire-fed SRC").fire(ctx)
+            });
+            (registry, capture)
+        });
+    }
+    let mut apps = NetApps::new();
+    apps.register("ofdm", app);
+    let service = Arc::new(TpdfService::new(
+        ServiceConfig::default()
+            .with_threads(2)
+            .with_max_sessions(2)
+            .with_queue_capacity(queue_capacity),
+    ));
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        apps,
+        NetConfig {
+            poll_interval: Duration::from_secs(5),
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    (service, server, records, solo)
+}
+
+/// Every round trip needs the loop to notice a `Barrier` arriving and
+/// then a run finishing; a loop that waited out its 5 s interval for
+/// either would spend 5 s on the first round trip alone.
+#[test]
+fn sequential_round_trips_are_woken_not_timed() {
+    let (_service, server, records, solo) = five_second_interval_server(2, None);
+    let start = Instant::now();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.hello("ofdm").expect("hello");
+    for seq in 0..20 {
+        client.records(&records).expect("records");
+        client.barrier(seq).expect("barrier");
+        let (got_seq, tokens) = client.result().expect("result");
+        assert_eq!(got_seq, seq, "results out of order");
+        assert_eq!(tokens, solo, "round trip {seq} diverges from the solo run");
+        assert!(
+            start.elapsed() < Duration::from_millis(2500),
+            "{} round trips took {:?}: the loop waits on its timer",
+            seq + 1,
+            start.elapsed()
+        );
+    }
+    client.bye().expect("bye");
+    server.shutdown();
+}
+
+/// Barriers refused by a full ingress queue are parked and must be
+/// retried when a run completes, not when the interval runs out.
+#[test]
+fn parked_barriers_are_retried_on_completion_wakes() {
+    let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let (service, server, records, solo) = five_second_interval_server(1, Some(Arc::clone(&gate)));
+    let runs = 12u64;
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.hello("ofdm").expect("hello");
+    // Every run's records and barrier in one burst. The first run holds
+    // its source at the gate and the one queue slot takes the second
+    // barrier, so the third is refused and parked; only then does the
+    // gate open.
+    for seq in 0..runs {
+        client.records(&records).expect("records");
+        client.barrier(seq).expect("barrier");
+    }
+    let opener = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while service.metrics().requests_rejected == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "no barrier hit Backoff(QueueFull)"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let opened = Instant::now();
+            *gate.0.lock().expect("gate lock") = true;
+            gate.1.notify_all();
+            opened
+        })
+    };
+    for seq in 0..runs {
+        let (got_seq, tokens) = client.result().expect("result");
+        assert_eq!(got_seq, seq, "results out of order");
+        assert_eq!(
+            tokens, solo,
+            "pipelined run {seq} diverges from the solo run"
+        );
+    }
+    let elapsed = opener.join().expect("gate opener").elapsed();
+    assert!(client.backoffs() > 0, "the burst never saw a Backoff");
+    assert!(
+        elapsed < Duration::from_millis(2500),
+        "the parked barriers took {elapsed:?} to finish: they wait on the timer"
+    );
+    client.bye().expect("bye");
+    server.shutdown();
+}
+
+/// `shutdown` wakes the loop instead of waiting out its interval.
+#[test]
+fn shutdown_wakes_the_loop() {
+    let (_service, server, records, _solo) = five_second_interval_server(2, None);
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.hello("ofdm").expect("hello");
+    client.records(&records).expect("records");
+    client.barrier(0).expect("barrier");
+    client.result().expect("result");
+    // Leave the client connected and let the loop settle into its wait.
+    std::thread::sleep(Duration::from_millis(100));
+    let start = Instant::now();
+    server.shutdown();
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "shutdown took {elapsed:?}: the loop waits on its timer"
+    );
+    drop(client);
+}
+
+/// The committed wire-format anchor: one v1 encoding of every frame
+/// type (with every token kind, images and blocks included), written
+/// by the codec before any change to it. Decoding and re-encoding must
+/// reproduce it byte for byte; if this fails, the wire format broke.
+#[test]
+fn golden_v1_frames_decode_and_reencode_byte_for_byte() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/frames_v1.bin");
+    let golden = std::fs::read(&path).expect("read tests/fixtures/frames_v1.bin");
+    let mut reader = FrameReader::new(1 << 20);
+    reader.extend(&golden);
+    let mut frames = Vec::new();
+    while let Some(frame) = reader.next_frame().expect("the golden frames decode") {
+        frames.push(frame);
+    }
+    assert_eq!(reader.buffered(), 0, "trailing bytes after the last frame");
+    let mut types: Vec<u8> = frames.iter().map(Frame::type_byte).collect();
+    types.dedup();
+    assert_eq!(
+        types,
+        [1, 2, 3, 4, 5, 6],
+        "one run of each frame type, in order"
+    );
+    let mut reencoded = Vec::new();
+    for frame in &frames {
+        write_frame(&mut reencoded, frame);
+    }
+    assert!(reencoded == golden, "re-encoding changed the bytes");
 }
