@@ -620,6 +620,12 @@ fn golden_v1_fixture_still_restores() {
     let checkpoint = Checkpoint::decode(&bytes)
         .expect("the committed v1 fixture must stay decodable by every future reader");
     assert_eq!(checkpoint.iteration, 2, "fixture captures barrier 2");
+    // The bytes themselves are pinned, not only their meaning: the
+    // decoded checkpoint re-encodes to the fixture byte for byte.
+    assert!(
+        checkpoint.encode() == bytes,
+        "re-encoding the v1 fixture changed the bytes"
+    );
 
     // And it still *restores*: the fixture's graph fingerprint matches
     // today's Figure 2, and resuming it reproduces the uninterrupted
