@@ -10,14 +10,13 @@
 //! than an excellent result, later."
 
 use crate::image::GrayImage;
-use serde::{Deserialize, Serialize};
 use tpdf_core::actors::KernelKind;
 use tpdf_core::graph::TpdfGraph;
 use tpdf_core::rate::RateSeq;
 
 /// The four edge detectors evaluated by the paper, ordered by increasing
 /// quality (and cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EdgeDetector {
     /// 3×3 "quick mask" difference filter — cheapest, noisiest.
     QuickMask,

@@ -11,7 +11,6 @@
 //! edges disappear from the iteration.
 
 use crate::dsp::Complex;
-use serde::{Deserialize, Serialize};
 use tpdf_core::actors::KernelKind;
 use tpdf_core::graph::TpdfGraph;
 use tpdf_core::rate::RateSeq;
@@ -19,7 +18,7 @@ use tpdf_sim::buffer_analysis::{compare_buffers, BufferComparison, PortSelection
 use tpdf_symexpr::Binding;
 
 /// Configuration of the FM-radio benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FmRadioConfig {
     /// Number of equalizer bands (StreamIt uses around 10).
     pub bands: usize,

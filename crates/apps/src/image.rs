@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A grayscale image with `f32` pixels in `[0, 255]`.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// the synthetic generator below produces images with gradients, shapes
 /// and noise so that the four detectors have real work to do and their
 /// relative costs (Quick Mask < Sobel < Prewitt < Canny) are preserved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrayImage {
     width: usize,
     height: usize,

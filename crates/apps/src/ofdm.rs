@@ -3,7 +3,6 @@
 use crate::dsp::{add_cyclic_prefix, demap, fft, ifft, remove_cyclic_prefix, Complex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tpdf_core::actors::KernelKind;
 use tpdf_core::graph::TpdfGraph;
 use tpdf_core::rate::RateSeq;
@@ -12,7 +11,7 @@ use tpdf_symexpr::{Binding, Poly};
 
 /// Configuration of the OFDM demodulator: the four principal parameters
 /// of the paper (`β`, `M`, `N`, `L`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OfdmConfig {
     /// OFDM symbol length `N` (512 or 1024 in the paper).
     pub symbol_len: usize,

@@ -11,10 +11,9 @@
 use crate::graph::{ChannelId, CsdfGraph};
 use crate::schedule::{single_processor_schedule, validate_firing_sequence, SchedulePolicy};
 use crate::CsdfError;
-use serde::{Deserialize, Serialize};
 
 /// Per-channel and aggregate buffer requirements of one graph iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferReport {
     per_channel: Vec<u64>,
     total: u64,

@@ -1,18 +1,17 @@
 //! CSDF graph representation and builder.
 
 use crate::CsdfError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of an actor inside a [`CsdfGraph`] (index into the actor
 /// table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub usize);
 
 /// Identifier of a channel inside a [`CsdfGraph`] (index into the channel
 /// table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub usize);
 
 impl fmt::Display for ActorId {
@@ -34,7 +33,7 @@ impl fmt::Display for ChannelId {
 /// ([`CsdfChannel::production`] / [`CsdfChannel::consumption`]); the actor
 /// only records its name, phase count and an optional per-phase execution
 /// time used by schedulers and the simulator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsdfActor {
     /// Human-readable unique name.
     pub name: String,
@@ -57,7 +56,7 @@ impl CsdfActor {
 }
 
 /// A CSDF channel (directed FIFO edge) between two actors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsdfChannel {
     /// Source (producing) actor.
     pub source: ActorId,
@@ -131,7 +130,7 @@ fn cumulative(seq: &[u64], n: u64) -> u64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsdfGraph {
     actors: Vec<CsdfActor>,
     channels: Vec<CsdfChannel>,

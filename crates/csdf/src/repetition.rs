@@ -2,7 +2,6 @@
 
 use crate::graph::{ActorId, CsdfGraph};
 use crate::CsdfError;
-use serde::{Deserialize, Serialize};
 use tpdf_symexpr::{denominator_lcm, numerator_gcd, Rational};
 
 /// The repetition vector `q` of a consistent CSDF graph: the number of
@@ -11,7 +10,7 @@ use tpdf_symexpr::{denominator_lcm, numerator_gcd, Rational};
 /// Following Theorem 1 of the paper, `q = P · r` where `P` is the
 /// diagonal matrix of phase counts `τ_j` and `r` is the smallest positive
 /// integer solution of `Γ · r = 0` for the topology matrix `Γ`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepetitionVector {
     counts: Vec<u64>,
     cycle_counts: Vec<u64>,

@@ -3,12 +3,11 @@
 use crate::graph::{ActorId, CsdfGraph};
 use crate::repetition::{repetition_vector, RepetitionVector};
 use crate::CsdfError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One entry of a sequential schedule: fire `actor` `count` times in a
 /// row (the string `(a3)^2` of the paper's notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEntry {
     /// The actor to fire.
     pub actor: ActorId,
@@ -22,7 +21,7 @@ pub struct ScheduleEntry {
 /// A valid schedule fires every actor exactly as many times as its
 /// repetition count without ever driving a channel negative; repeating it
 /// forever keeps every buffer bounded (Definition 1 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     entries: Vec<ScheduleEntry>,
     repetition: RepetitionVector,

@@ -16,7 +16,6 @@
 //! demodulator).
 
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use tpdf_core::graph::{ChannelClass, NodeId, TpdfGraph};
 use tpdf_csdf::schedule::SchedulePolicy;
@@ -27,7 +26,7 @@ use tpdf_symexpr::Binding;
 pub type PortSelection = BTreeMap<String, usize>;
 
 /// Outcome of the TPDF-vs-CSDF buffer comparison for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferComparison {
     /// Total buffer requirement of the TPDF implementation (tokens).
     pub tpdf_total: u64,

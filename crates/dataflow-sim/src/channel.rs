@@ -1,7 +1,6 @@
 //! FIFO channel state with occupancy tracking.
 
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 
 /// Run-time state of one FIFO channel: current occupancy, high-water mark
 /// and an optional capacity bound.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// applications that need to process real data (FFT samples, image tiles)
 /// do so in their own kernels and use the simulator for ordering and
 /// sizing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelState {
     label: String,
     tokens: u64,

@@ -3,7 +3,6 @@
 
 use crate::channel::ChannelState;
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use tpdf_core::consistency::{symbolic_repetition_vector, SymbolicRepetition};
@@ -18,7 +17,7 @@ use tpdf_symexpr::Binding;
 /// In a real deployment the mode is computed from data (e.g. the value of
 /// `M` decides between QPSK and QAM in the cognitive-radio case study);
 /// for simulation and sizing experiments a policy is sufficient.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ControlPolicy {
     /// Every control token selects all data inputs (CSDF-like behaviour).
     #[default]
@@ -164,7 +163,7 @@ impl SimulationConfig {
 
 /// Per-iteration execution record: the binding the iteration ran under,
 /// the repetition counts it implied and the buffer occupancy it needed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IterationRecord {
     /// The effective binding of this iteration.
     pub binding: Binding,
@@ -178,7 +177,7 @@ pub struct IterationRecord {
 }
 
 /// Aggregate results of a simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimulationReport {
     /// Number of complete graph iterations executed.
     pub iterations_completed: u64,

@@ -11,14 +11,13 @@
 
 use crate::channel::ChannelState;
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tpdf_core::consistency::symbolic_repetition_vector;
 use tpdf_core::graph::{ChannelId, NodeId, TpdfGraph};
 use tpdf_symexpr::Binding;
 
 /// Configuration of a timed simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedConfig {
     /// Concrete parameter values.
     pub binding: Binding,
@@ -53,7 +52,7 @@ impl TimedConfig {
 }
 
 /// One executed firing in the timed trace (a Gantt-chart entry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiringEvent {
     /// The node that fired.
     pub node: NodeId,
@@ -67,7 +66,7 @@ pub struct FiringEvent {
 
 /// Which input a deadline-driven Transaction kernel selected at a clock
 /// tick.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadlineOutcome {
     /// The Transaction kernel.
     pub transaction: NodeId,
@@ -82,7 +81,7 @@ pub struct DeadlineOutcome {
 
 /// The result of a timed simulation: the Gantt trace, the makespan and
 /// the deadline decisions taken by Transaction kernels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedTrace {
     /// All executed firings, ordered by start time.
     pub events: Vec<FiringEvent>,

@@ -2,11 +2,10 @@
 
 use crate::platform::{ClusterId, Platform};
 use crate::ManycoreError;
-use serde::{Deserialize, Serialize};
 use tpdf_core::graph::{NodeId, TpdfGraph};
 
 /// How actors are assigned to clusters before list scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingStrategy {
     /// Spread actors over clusters in declaration order (round robin).
     #[default]
@@ -23,7 +22,7 @@ pub enum MappingStrategy {
 /// A mapping of graph nodes to clusters. Control actors are additionally
 /// pinned to a dedicated cluster-0 PE by the scheduler, following
 /// Figure 5 ("C1 is mapped onto a separate processing element").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     clusters: Vec<ClusterId>,
 }

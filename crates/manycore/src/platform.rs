@@ -1,17 +1,15 @@
 //! Clustered many-core platform model.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a compute cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub usize);
 
 /// Identifier of a processing element (global index across clusters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeId(pub usize);
 
 /// One processing element of the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessingElement {
     /// Global identifier.
     pub id: PeId,
@@ -27,7 +25,7 @@ pub struct ProcessingElement {
 /// message, which the scheduler adds to inter-cluster dependencies. This
 /// is a deliberately simple stand-in for the MPPA-256's DMA/NoC, enough
 /// to exercise the paper's mapping and priority rules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Platform {
     clusters: usize,
     pes_per_cluster: usize,

@@ -4,14 +4,13 @@
 use crate::mapping::{map_graph, node_workloads, Mapping, MappingStrategy};
 use crate::platform::{PeId, Platform};
 use crate::ManycoreError;
-use serde::{Deserialize, Serialize};
 use tpdf_core::consistency::symbolic_repetition_vector;
 use tpdf_core::graph::{NodeId, TpdfGraph};
 use tpdf_core::schedule::{CanonicalPeriod, FiringId};
 use tpdf_symexpr::Binding;
 
 /// Configuration of the list scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerConfig {
     /// Mapping strategy used to assign nodes to clusters.
     pub mapping: MappingStrategy,
@@ -33,7 +32,7 @@ impl SchedulerConfig {
 }
 
 /// One scheduled firing of the canonical period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledFiring {
     /// The firing in the canonical period.
     pub firing: FiringId,
@@ -50,7 +49,7 @@ pub struct ScheduledFiring {
 }
 
 /// The result of mapping one canonical period onto the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappedSchedule {
     /// All scheduled firings, ordered by start time.
     pub entries: Vec<ScheduledFiring>,

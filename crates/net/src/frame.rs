@@ -3,31 +3,28 @@
 //! # Wire format (version 1)
 //!
 //! Every frame travels as a `u32` little-endian body length followed
-//! by the body:
+//! by the body, a [`tpdf_runtime::codec`] envelope — the one the
+//! checkpoint format uses — with magic `"TPDN"` and one header byte,
+//! the frame type (Hello, Records, Barrier, Result, Backoff, Bye):
 //!
 //! ```text
 //! "TPDN"  magic (4 bytes)
 //! u8      version (currently 1)
-//! u8      frame type (Hello, Records, Barrier, Result, Backoff, Bye)
+//! u8      frame type
 //! field*  tagged fields: u8 tag, u64 LE payload length, payload
 //! u64 LE  FNV-1a 64 checksum of everything before it
 //! ```
 //!
-//! The format deliberately mirrors the checkpoint codec
-//! (`tpdf_runtime::checkpoint`): fields are self-describing — an
-//! unknown tag is a [`FrameError::UnknownField`], which makes version
-//! drift loud instead of lossy — and the trailing checksum is verified
-//! **before** any field is parsed, so a corrupted byte can never drive
-//! the parser into a bogus length or a panic. The decoder is total
-//! over arbitrary input: wire garbage decodes to a structured
-//! [`FrameError`], never a panic.
+//! Tokens travel as the codec's token lists. An unknown tag is a
+//! [`DecodeError::UnknownField`], which makes version drift loud
+//! instead of lossy, and the checksum is verified **before** any field
+//! is parsed. The decoder is total over arbitrary input: wire garbage
+//! decodes to a structured [`FrameError`], never a panic.
 
 use std::fmt;
-use std::sync::Arc;
 
-use tpdf_apps::dsp::Complex;
-use tpdf_apps::image::GrayImage;
-use tpdf_runtime::{Token, TokenBytes};
+use tpdf_runtime::codec::{put_tokens, read_envelope, DecodeError, Envelope};
+use tpdf_runtime::Token;
 
 /// The 4-byte magic prefix of every frame body.
 pub const MAGIC: [u8; 4] = *b"TPDN";
@@ -146,41 +143,38 @@ impl Frame {
     /// type, tagged fields, trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.type_byte());
+        self.encode_into(&mut out);
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut env = Envelope::begin(out, MAGIC, VERSION, &[self.type_byte()]);
         match self {
             Frame::Hello {
                 app,
                 session,
                 tokens_per_run,
             } => {
-                put_field(&mut out, TAG_APP, app.as_bytes());
-                put_field(&mut out, TAG_SESSION, &session.to_le_bytes());
-                put_field(&mut out, TAG_TOKENS_PER_RUN, &tokens_per_run.to_le_bytes());
+                env.bytes(TAG_APP, app.as_bytes());
+                env.bytes(TAG_SESSION, &session.to_le_bytes());
+                env.bytes(TAG_TOKENS_PER_RUN, &tokens_per_run.to_le_bytes());
             }
-            Frame::Records { tokens } => {
-                put_field(&mut out, TAG_TOKENS, &encode_tokens(tokens));
-            }
-            Frame::Barrier { seq } => {
-                put_field(&mut out, TAG_SEQ, &seq.to_le_bytes());
-            }
+            Frame::Records { tokens } => env.field(TAG_TOKENS, |out| put_tokens(out, tokens)),
+            Frame::Barrier { seq } => env.bytes(TAG_SEQ, &seq.to_le_bytes()),
             Frame::Result { seq, outcome } => {
-                put_field(&mut out, TAG_SEQ, &seq.to_le_bytes());
+                env.bytes(TAG_SEQ, &seq.to_le_bytes());
                 match outcome {
-                    Ok(tokens) => put_field(&mut out, TAG_TOKENS, &encode_tokens(tokens)),
-                    Err(detail) => put_field(&mut out, TAG_ERROR, detail.as_bytes()),
+                    Ok(tokens) => env.field(TAG_TOKENS, |out| put_tokens(out, tokens)),
+                    Err(detail) => env.bytes(TAG_ERROR, detail.as_bytes()),
                 }
             }
             Frame::Backoff { session, reason } => {
-                put_field(&mut out, TAG_SESSION, &session.to_le_bytes());
-                put_field(&mut out, TAG_REASON, &[reason.to_u8()]);
+                env.bytes(TAG_SESSION, &session.to_le_bytes());
+                env.bytes(TAG_REASON, &[reason.to_u8()]);
             }
             Frame::Bye => {}
         }
-        let hash = checksum(&out);
-        out.extend_from_slice(&hash.to_le_bytes());
-        out
+        env.finish();
     }
 
     /// Decodes one frame body. Total over arbitrary bytes: every
@@ -188,29 +182,10 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Every [`FrameError`] variant except `Oversized` (which only the
-    /// length-prefix layer, [`FrameReader`], reports).
+    /// [`FrameError::Decode`] or [`FrameError::UnknownFrameType`]
+    /// (`Oversized` only comes from the length-prefix layer,
+    /// [`FrameReader`]).
     pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
-        // Magic + version + type + checksum is the smallest frame.
-        if body.len() < MAGIC.len() + 2 + 8 {
-            return Err(FrameError::TooShort { len: body.len() });
-        }
-        if body[..MAGIC.len()] != MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        let (payload, trailer) = body.split_at(body.len() - 8);
-        let found = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let expected = checksum(payload);
-        if expected != found {
-            return Err(FrameError::ChecksumMismatch { expected, found });
-        }
-        let version = payload[MAGIC.len()];
-        if version != VERSION {
-            return Err(FrameError::UnsupportedVersion(version));
-        }
-        let frame_type = payload[MAGIC.len() + 1];
-        let mut reader = Reader::new(&payload[MAGIC.len() + 2..]);
-
         let mut app = None;
         let mut session = None;
         let mut tokens_per_run = None;
@@ -218,54 +193,49 @@ impl Frame {
         let mut seq = None;
         let mut error = None;
         let mut reason = None;
-        while reader.remaining() > 0 {
-            let tag = reader.u8("field tag")?;
-            let len = reader.u64("field length")? as usize;
-            let payload = reader.bytes(len, "field payload")?;
+        let header = read_envelope(body, MAGIC, VERSION, 1, |tag, field| {
             match tag {
-                TAG_APP => app = Some(utf8(payload, "app")?),
-                TAG_SESSION => session = Some(field_u64(payload, "session")?),
-                TAG_TOKENS_PER_RUN => {
-                    tokens_per_run = Some(field_u64(payload, "tokens_per_run")?);
-                }
-                TAG_TOKENS => tokens = Some(decode_tokens(payload)?),
-                TAG_SEQ => seq = Some(field_u64(payload, "seq")?),
-                TAG_ERROR => error = Some(utf8(payload, "error")?),
+                TAG_APP => app = Some(field.str("app")?.to_string()),
+                TAG_SESSION => session = Some(field.u64("session")?),
+                TAG_TOKENS_PER_RUN => tokens_per_run = Some(field.u64("tokens_per_run")?),
+                TAG_TOKENS => tokens = Some(field.tokens("tokens")?),
+                TAG_SEQ => seq = Some(field.u64("seq")?),
+                TAG_ERROR => error = Some(field.str("error")?.to_string()),
                 TAG_REASON => {
-                    let byte = *payload
-                        .first()
-                        .ok_or(FrameError::Truncated { field: "reason" })?;
-                    reason = Some(BackoffReason::from_u8(byte).ok_or(FrameError::Malformed {
+                    let byte = field.u8("reason")?;
+                    reason = Some(BackoffReason::from_u8(byte).ok_or(DecodeError::Malformed {
                         field: "reason",
                         detail: format!("unknown backoff reason {byte}"),
                     })?);
                 }
-                other => return Err(FrameError::UnknownField(other)),
+                other => return Err(DecodeError::UnknownField(other)),
             }
-        }
-        Ok(match frame_type {
+            Ok(())
+        })?;
+        let missing = DecodeError::MissingField;
+        Ok(match header[0] {
             TYPE_HELLO => Frame::Hello {
-                app: app.ok_or(FrameError::MissingField("app"))?,
+                app: app.ok_or(missing("app"))?,
                 session: session.unwrap_or(0),
                 tokens_per_run: tokens_per_run.unwrap_or(0),
             },
             TYPE_RECORDS => Frame::Records {
-                tokens: tokens.ok_or(FrameError::MissingField("tokens"))?,
+                tokens: tokens.ok_or(missing("tokens"))?,
             },
             TYPE_BARRIER => Frame::Barrier {
-                seq: seq.ok_or(FrameError::MissingField("seq"))?,
+                seq: seq.ok_or(missing("seq"))?,
             },
             TYPE_RESULT => Frame::Result {
-                seq: seq.ok_or(FrameError::MissingField("seq"))?,
+                seq: seq.ok_or(missing("seq"))?,
                 outcome: match (tokens, error) {
                     (_, Some(detail)) => Err(detail),
                     (Some(tokens), None) => Ok(tokens),
-                    (None, None) => return Err(FrameError::MissingField("tokens")),
+                    (None, None) => return Err(missing("tokens").into()),
                 },
             },
             TYPE_BACKOFF => Frame::Backoff {
                 session: session.unwrap_or(0),
-                reason: reason.ok_or(FrameError::MissingField("reason"))?,
+                reason: reason.ok_or(missing("reason"))?,
             },
             TYPE_BYE => Frame::Bye,
             other => return Err(FrameError::UnknownFrameType(other)),
@@ -274,52 +244,25 @@ impl Frame {
 }
 
 /// Appends one length-prefixed frame to `out` (`u32` LE body length,
-/// then the body) — the only framing the transport layer adds.
+/// then the body) — the only framing the transport layer adds. The
+/// body is encoded in place and the prefix back-patched.
 pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
-    let body = frame.encode();
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    frame.encode_into(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Everything the decoder can report. Arbitrary wire bytes decode to
 /// one of these — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The body is shorter than magic + version + type + checksum.
-    TooShort {
-        /// Observed body length in bytes.
-        len: usize,
-    },
-    /// The body does not start with `"TPDN"`.
-    BadMagic,
-    /// The version byte names a format this decoder does not speak.
-    UnsupportedVersion(u8),
-    /// The trailing FNV-1a checksum does not match the body — the
-    /// bytes were corrupted or truncated in flight.
-    ChecksumMismatch {
-        /// Checksum recomputed over the body.
-        expected: u64,
-        /// Checksum found in the trailer.
-        found: u64,
-    },
+    /// The body is not a well-formed `TPDN` envelope, or a field in it
+    /// is not.
+    Decode(DecodeError),
     /// The type byte names no known frame.
     UnknownFrameType(u8),
-    /// A field tag this decoder does not know (a newer peer).
-    UnknownField(u8),
-    /// A field or payload ended before its declared length.
-    Truncated {
-        /// What was being parsed.
-        field: &'static str,
-    },
-    /// A field parsed but its contents are not valid.
-    Malformed {
-        /// What was being parsed.
-        field: &'static str,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// A field the frame type requires is absent.
-    MissingField(&'static str),
     /// The length prefix declares a body beyond the configured cap —
     /// a hostile or corrupt peer must not drive a huge allocation.
     Oversized {
@@ -333,26 +276,8 @@ pub enum FrameError {
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::TooShort { len } => write!(f, "frame body of {len} bytes is too short"),
-            FrameError::BadMagic => write!(f, "not a tpdf-net frame (bad magic)"),
-            FrameError::UnsupportedVersion(v) => {
-                write!(f, "unsupported frame version {v} (this reader speaks {VERSION})")
-            }
-            FrameError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "frame checksum mismatch: body hashes to {expected:#018x}, trailer says {found:#018x}"
-            ),
+            FrameError::Decode(e) => write!(f, "frame: {e}"),
             FrameError::UnknownFrameType(t) => write!(f, "unknown frame type {t}"),
-            FrameError::UnknownField(tag) => {
-                write!(f, "unknown frame field tag {tag} (sent by a newer peer?)")
-            }
-            FrameError::Truncated { field } => write!(f, "frame truncated while reading {field}"),
-            FrameError::Malformed { field, detail } => {
-                write!(f, "malformed frame field {field}: {detail}")
-            }
-            FrameError::MissingField(field) => {
-                write!(f, "frame is missing required field {field}")
-            }
             FrameError::Oversized { len, cap } => {
                 write!(f, "frame of {len} bytes exceeds the {cap}-byte cap")
             }
@@ -361,6 +286,12 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+impl From<DecodeError> for FrameError {
+    fn from(value: DecodeError) -> Self {
+        FrameError::Decode(value)
+    }
+}
 
 /// Incremental length-prefix splitter: feed it raw socket bytes, take
 /// complete decoded frames out. Both the non-blocking server and the
@@ -418,204 +349,20 @@ impl FrameReader {
     }
 }
 
-/// FNV-1a 64 over `bytes` — the same trailer hash the checkpoint
-/// codec uses.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_field(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-}
-
-fn field_u64(payload: &[u8], field: &'static str) -> Result<u64, FrameError> {
-    let raw: [u8; 8] = payload
-        .try_into()
-        .map_err(|_| FrameError::Truncated { field })?;
-    Ok(u64::from_le_bytes(raw))
-}
-
-fn utf8(payload: &[u8], field: &'static str) -> Result<String, FrameError> {
-    String::from_utf8(payload.to_vec()).map_err(|_| FrameError::Malformed {
-        field,
-        detail: "not valid UTF-8".to_string(),
-    })
-}
-
-fn encode_tokens(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + tokens.len() * 17);
-    put_u64(&mut out, tokens.len() as u64);
-    for token in tokens {
-        put_token(&mut out, token);
-    }
-    out
-}
-
-fn decode_tokens(payload: &[u8]) -> Result<Vec<Token>, FrameError> {
-    let mut reader = Reader::new(payload);
-    let count = reader.count(1, "token count")?;
-    let mut tokens = Vec::with_capacity(count);
-    for _ in 0..count {
-        tokens.push(reader.token()?);
-    }
-    Ok(tokens)
-}
-
-fn put_token(out: &mut Vec<u8>, token: &Token) {
-    match token {
-        Token::Unit => out.push(0),
-        Token::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Token::Float(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Token::Byte(b) => {
-            out.push(3);
-            out.push(*b);
-        }
-        Token::Complex(c) => {
-            out.push(4);
-            out.extend_from_slice(&c.re.to_le_bytes());
-            out.extend_from_slice(&c.im.to_le_bytes());
-        }
-        Token::Image(img) => {
-            out.push(5);
-            put_u64(out, img.width() as u64);
-            put_u64(out, img.height() as u64);
-            for &px in img.pixels() {
-                out.extend_from_slice(&px.to_le_bytes());
-            }
-        }
-        // A block's bytes are re-inlined: the handle's sharing is an
-        // in-process optimisation, the wire carries the payload.
-        Token::Block(bytes) => {
-            out.push(6);
-            put_u64(out, bytes.len() as u64);
-            out.extend_from_slice(bytes.as_slice());
-        }
-    }
-}
-
-/// Bounds-checked cursor over a frame body. Every read reports
-/// [`FrameError::Truncated`] instead of slicing out of range, so the
-/// decoder is total over arbitrary input.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::Truncated { field });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, FrameError> {
-        Ok(self.bytes(1, field)?[0])
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, FrameError> {
-        let raw = self.bytes(8, field)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64(field)?))
-    }
-
-    /// A declared element count, sanity-capped by the bytes actually
-    /// remaining (`min_size` = the smallest possible encoding of one
-    /// element) so a forged count cannot drive a huge allocation.
-    fn count(&mut self, min_size: usize, field: &'static str) -> Result<usize, FrameError> {
-        let declared = self.u64(field)?;
-        let ceiling = (self.remaining() / min_size.max(1)) as u64;
-        if declared > ceiling {
-            return Err(FrameError::Malformed {
-                field,
-                detail: format!("declared {declared} elements, only {ceiling} can fit"),
-            });
-        }
-        Ok(declared as usize)
-    }
-
-    fn token(&mut self) -> Result<Token, FrameError> {
-        let field = "token";
-        Ok(match self.u8(field)? {
-            0 => Token::Unit,
-            1 => {
-                let raw = self.bytes(8, field)?;
-                Token::Int(i64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-            }
-            2 => Token::Float(self.f64(field)?),
-            3 => Token::Byte(self.u8(field)?),
-            4 => Token::Complex(Complex {
-                re: self.f64(field)?,
-                im: self.f64(field)?,
-            }),
-            5 => {
-                let width = self.u64(field)? as usize;
-                let height = self.u64(field)? as usize;
-                let count = width.checked_mul(height).ok_or(FrameError::Malformed {
-                    field,
-                    detail: "image dimensions overflow".to_string(),
-                })?;
-                let bytes = count.checked_mul(4).ok_or(FrameError::Malformed {
-                    field,
-                    detail: format!("an image of {count} pixels overflows"),
-                })?;
-                if self.remaining() < bytes {
-                    return Err(FrameError::Truncated { field });
-                }
-                let mut pixels = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let raw = self.bytes(4, field)?;
-                    pixels.push(f32::from_le_bytes(raw.try_into().expect("4-byte slice")));
-                }
-                Token::Image(Arc::new(GrayImage::from_pixels(width, height, pixels)))
-            }
-            6 => {
-                let len = self.count(1, field)?;
-                Token::Block(TokenBytes::new(self.bytes(len, field)?))
-            }
-            other => {
-                return Err(FrameError::Malformed {
-                    field,
-                    detail: format!("unknown token discriminant {other}"),
-                })
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tpdf_apps::dsp::Complex;
+    use tpdf_apps::image::GrayImage;
+    use tpdf_runtime::codec::{checksum, put_u64};
+    use tpdf_runtime::TokenBytes;
+
+    fn put_field(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+        out.push(tag);
+        put_u64(out, payload.len() as u64);
+        out.extend_from_slice(payload);
+    }
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -731,7 +478,10 @@ mod tests {
         let hash = checksum(&body[..body.len() - 8]);
         let trailer = body.len() - 8;
         body[trailer..].copy_from_slice(&hash.to_le_bytes());
-        assert_eq!(Frame::decode(&body), Err(FrameError::UnsupportedVersion(9)));
+        assert_eq!(
+            Frame::decode(&body),
+            Err(FrameError::Decode(DecodeError::UnsupportedVersion(9)))
+        );
 
         let mut body = Frame::Bye.encode();
         body[5] = 200; // frame-type byte
@@ -750,7 +500,10 @@ mod tests {
         put_field(&mut body, 250, b"future");
         let hash = checksum(&body);
         body.extend_from_slice(&hash.to_le_bytes());
-        assert_eq!(Frame::decode(&body), Err(FrameError::UnknownField(250)));
+        assert_eq!(
+            Frame::decode(&body),
+            Err(FrameError::Decode(DecodeError::UnknownField(250)))
+        );
     }
 
     #[test]
@@ -767,7 +520,7 @@ mod tests {
         body.extend_from_slice(&hash.to_le_bytes());
         assert!(matches!(
             Frame::decode(&body),
-            Err(FrameError::Malformed { .. })
+            Err(FrameError::Decode(DecodeError::Malformed { .. }))
         ));
     }
 
@@ -803,8 +556,78 @@ mod tests {
         body[trailer..].copy_from_slice(&hash.to_le_bytes());
         assert!(matches!(
             Frame::decode(&body),
-            Err(FrameError::Malformed { .. })
+            Err(FrameError::Decode(DecodeError::Malformed { .. }))
         ));
+    }
+
+    fn reseal(body: &mut [u8]) {
+        let trailer = body.len() - 8;
+        let hash = checksum(&body[..trailer]);
+        body[trailer..].copy_from_slice(&hash.to_le_bytes());
+    }
+
+    #[test]
+    fn forged_lengths_are_errors_not_panics() {
+        // Body layout: magic 0..4, version 4, type 5, tokens tag 6,
+        // field length 7..15, token count 15..23; image 23 (width
+        // 24..32, height 32..40, pixel 40..44); block 44 (length 45..53,
+        // bytes 53..56); checksum 56..64.
+        let frame = Frame::Records {
+            tokens: vec![
+                Token::image(GrayImage::from_pixels(1, 1, vec![0.5])),
+                Token::block(vec![1u8, 2, 3]),
+            ],
+        };
+        let body = frame.encode();
+        assert_eq!((body[23], body[44], body.len()), (5, 6, 64));
+        let lengths = [
+            ("field length", 7),
+            ("token count", 15),
+            ("image width", 24),
+            ("image height", 32),
+            ("block length", 45),
+        ];
+        for (what, at) in lengths {
+            let honest = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+            for forged in [honest + 1, 1 << 32, 1 << 62, u64::MAX] {
+                let mut body = body.clone();
+                body[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                reseal(&mut body);
+                assert!(
+                    Frame::decode(&body).is_err(),
+                    "{what} forged to {forged} decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_in_a_field_are_an_error() {
+        // A token list or a backoff reason followed by one more byte in
+        // its field: the payload must be consumed exactly.
+        let mut tokens = Vec::new();
+        tpdf_runtime::codec::put_tokens(&mut tokens, &[Token::Byte(1)]);
+        tokens.push(0);
+        let cases = [
+            (TYPE_RECORDS, TAG_TOKENS, tokens),
+            (TYPE_BACKOFF, TAG_REASON, vec![0, 0]),
+        ];
+        for (frame_type, tag, payload) in cases {
+            let mut body = Vec::new();
+            body.extend_from_slice(&MAGIC);
+            body.push(VERSION);
+            body.push(frame_type);
+            put_field(&mut body, tag, &payload);
+            let hash = checksum(&body);
+            body.extend_from_slice(&hash.to_le_bytes());
+            assert!(matches!(
+                Frame::decode(&body),
+                Err(FrameError::Decode(DecodeError::Malformed {
+                    field: "field payload",
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

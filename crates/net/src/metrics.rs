@@ -2,13 +2,12 @@
 //!
 //! [`NetMetrics`] is a set of lock-free counters the server thread
 //! bumps as it accepts, reads, backpressures and evicts; any thread
-//! can take a coherent-enough [`NetMetricsSnapshot`] at any time. The
-//! snapshot follows the `tpdf-service` metrics idiom: a line-oriented
-//! snapshot codec (the serde seam) plus a Prometheus text exposition.
+//! can take a coherent-enough [`NetMetricsSnapshot`] at any time and
+//! render it as Prometheus text exposition.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use tpdf_trace::{Exposition, SnapshotError, SnapshotReader, SnapshotWriter};
+use tpdf_trace::Exposition;
 
 /// Lock-free counters of the network ingestion layer. All monotone.
 #[derive(Debug, Default)]
@@ -123,65 +122,6 @@ impl NetMetricsSnapshot {
         )
     }
 
-    /// Writes every counter into `writer` as `key=value` lines.
-    pub fn write_snapshot(&self, writer: &mut SnapshotWriter) {
-        writer.field("conns_accepted", self.conns_accepted);
-        writer.field("conns_refused", self.conns_refused);
-        writer.field("conns_evicted", self.conns_evicted);
-        writer.field("conns_closed", self.conns_closed);
-        writer.field("sessions_opened", self.sessions_opened);
-        writer.field("admission_refusals", self.admission_refusals);
-        writer.field("frames_in", self.frames_in);
-        writer.field("frames_out", self.frames_out);
-        writer.field("bytes_in", self.bytes_in);
-        writer.field("bytes_out", self.bytes_out);
-        writer.field("records_in", self.records_in);
-        writer.field("results_out", self.results_out);
-        writer.field("backoffs", self.backoffs);
-        writer.field("protocol_errors", self.protocol_errors);
-    }
-
-    /// Reads a snapshot written by
-    /// [`NetMetricsSnapshot::write_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when a field is absent or fails to parse.
-    pub fn read_snapshot(reader: &SnapshotReader) -> Result<NetMetricsSnapshot, SnapshotError> {
-        Ok(NetMetricsSnapshot {
-            conns_accepted: reader.u64("conns_accepted")?,
-            conns_refused: reader.u64("conns_refused")?,
-            conns_evicted: reader.u64("conns_evicted")?,
-            conns_closed: reader.u64("conns_closed")?,
-            sessions_opened: reader.u64("sessions_opened")?,
-            admission_refusals: reader.u64("admission_refusals")?,
-            frames_in: reader.u64("frames_in")?,
-            frames_out: reader.u64("frames_out")?,
-            bytes_in: reader.u64("bytes_in")?,
-            bytes_out: reader.u64("bytes_out")?,
-            records_in: reader.u64("records_in")?,
-            results_out: reader.u64("results_out")?,
-            backoffs: reader.u64("backoffs")?,
-            protocol_errors: reader.u64("protocol_errors")?,
-        })
-    }
-
-    /// Serialises through the line-oriented snapshot codec.
-    pub fn to_snapshot(&self) -> String {
-        let mut writer = SnapshotWriter::new();
-        self.write_snapshot(&mut writer);
-        writer.finish()
-    }
-
-    /// Parses a document produced by [`NetMetricsSnapshot::to_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on a missing or malformed field.
-    pub fn from_snapshot(text: &str) -> Result<NetMetricsSnapshot, SnapshotError> {
-        NetMetricsSnapshot::read_snapshot(&SnapshotReader::parse(text)?)
-    }
-
     /// Renders the ledger in Prometheus text exposition format
     /// (metrics prefixed `tpdf_net_`).
     pub fn to_prometheus(&self) -> String {
@@ -284,14 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips() {
-        let snapshot = sample();
-        let text = snapshot.to_snapshot();
-        let back = NetMetricsSnapshot::from_snapshot(&text).expect("round trip");
-        assert_eq!(back, snapshot);
-    }
-
-    #[test]
     fn ledger_counts_into_snapshots() {
         let metrics = NetMetrics::new();
         metrics.conns_accepted.fetch_add(2, Relaxed);
@@ -309,10 +241,5 @@ mod tests {
         assert!(text.contains("tpdf_net_backoffs_total 6"));
         assert!(text.contains("tpdf_net_records_in_total 720"));
         assert!(text.contains("tpdf_net_protocol_errors_total 1"));
-    }
-
-    #[test]
-    fn missing_fields_are_loud() {
-        assert!(NetMetricsSnapshot::from_snapshot("conns_accepted=1").is_err());
     }
 }

@@ -1,22 +1,26 @@
-//! Barrier-consistent checkpoints: the versioned binary codec that
-//! captures a run's execution state at an iteration barrier, and the
-//! structured errors its decoder reports.
+//! Barrier-consistent checkpoints: what a run's execution state at an
+//! iteration barrier holds, its `TPDC` byte format, and the errors a
+//! decode or a restore reports.
 //!
 //! # Wire format (version 1)
 //!
+//! A [`crate::codec`] envelope with magic `"TPDC"` and no header bytes.
+//! Its fields:
+//!
 //! ```text
-//! "TPDC"  magic (4 bytes)
-//! u8      version (currently 1)
-//! field*  tagged fields: u8 tag, u64 LE payload length, payload
-//! u64 LE  FNV-1a 64 checksum of everything before it
+//! 1 iteration        u64
+//! 2 fingerprint      u64
+//! 3 control_firings  u64 count, u64 each
+//! 4 channels         u64 count; each: u64 capacity, u8 kind (0 data, 1 control),
+//!                    then a token list, or a u64 count of modes
+//! 5 captured         token list
+//! 6 metrics          the Metrics::to_snapshot text
 //! ```
 //!
-//! Fields are self-describing — a reader skips nothing silently: an
-//! unknown tag is a [`CheckpointError::UnknownField`], which is what
-//! makes version drift loud instead of lossy. The trailing checksum is
-//! verified **before** any field is parsed, so a corrupted byte can
-//! never drive the parser into a bogus length or a panic; it surfaces
-//! as a structured [`CheckpointError`].
+//! A mode is one byte (`0` wait-all, `1` highest priority, `2`
+//! select-one + `u64` port, `3` select-many + `u64` count + `u64`
+//! ports). An unknown tag is a [`DecodeError::UnknownField`], which is
+//! what makes version drift loud instead of lossy.
 //!
 //! The checkpoint is captured at an iteration barrier — the model's
 //! consistent cut: every node's budget for the iteration is spent, no
@@ -26,16 +30,14 @@
 //! sufficient to resume mid-graph; everything else is derived from the
 //! compiled plan or the embedded [`Metrics`] snapshot.
 
+pub use crate::codec::checksum;
+use crate::codec::{put_tokens, put_u64, read_envelope, DecodeError, Envelope, Reader};
 use crate::metrics::Metrics;
-use crate::token::{Token, TokenBytes};
+use crate::token::Token;
 use std::fmt;
-use std::sync::Arc;
-use tpdf_apps::dsp::Complex;
-use tpdf_apps::image::GrayImage;
 use tpdf_core::mode::Mode;
-use tpdf_trace::SnapshotError;
 
-/// The 4-byte magic prefix of every checkpoint frame.
+/// The 4-byte magic prefix of every checkpoint.
 pub const MAGIC: [u8; 4] = *b"TPDC";
 /// The current wire-format version.
 pub const VERSION: u8 = 1;
@@ -47,43 +49,12 @@ const TAG_CHANNELS: u8 = 4;
 const TAG_CAPTURED: u8 = 5;
 const TAG_METRICS: u8 = 6;
 
-/// Everything the decoder (or a restore) can report. Never a panic:
+/// Everything a decode or a restore can report. Never a panic:
 /// arbitrary bytes decode to one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The frame is shorter than magic + version + checksum.
-    TooShort {
-        /// Observed frame length in bytes.
-        len: usize,
-    },
-    /// The frame does not start with `"TPDC"`.
-    BadMagic,
-    /// The version byte names a format this decoder does not speak.
-    UnsupportedVersion(u8),
-    /// The trailing FNV-1a checksum does not match the frame body —
-    /// the bytes were corrupted or truncated in flight.
-    ChecksumMismatch {
-        /// Checksum recomputed over the frame body.
-        expected: u64,
-        /// Checksum found in the trailer.
-        found: u64,
-    },
-    /// A field tag this decoder does not know (a newer writer).
-    UnknownField(u8),
-    /// A field or payload ended before its declared length.
-    Truncated {
-        /// What was being parsed.
-        field: &'static str,
-    },
-    /// A field parsed but its contents are not valid.
-    Malformed {
-        /// What was being parsed.
-        field: &'static str,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// A required field is absent from the frame.
-    MissingField(&'static str),
+    /// The bytes are not a well-formed `TPDC` checkpoint.
+    Decode(DecodeError),
     /// The checkpoint does not belong to this executor: its graph
     /// fingerprint (node names and channel topology) differs.
     GraphMismatch {
@@ -115,29 +86,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::TooShort { len } => {
-                write!(f, "checkpoint frame of {len} bytes is too short")
-            }
-            CheckpointError::BadMagic => write!(f, "not a checkpoint frame (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (this reader speaks {VERSION})")
-            }
-            CheckpointError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "checkpoint checksum mismatch: body hashes to {expected:#018x}, trailer says {found:#018x}"
-            ),
-            CheckpointError::UnknownField(tag) => {
-                write!(f, "unknown checkpoint field tag {tag} (written by a newer version?)")
-            }
-            CheckpointError::Truncated { field } => {
-                write!(f, "checkpoint truncated while reading {field}")
-            }
-            CheckpointError::Malformed { field, detail } => {
-                write!(f, "malformed checkpoint field {field}: {detail}")
-            }
-            CheckpointError::MissingField(field) => {
-                write!(f, "checkpoint is missing required field {field}")
-            }
+            CheckpointError::Decode(e) => write!(f, "checkpoint: {e}"),
             CheckpointError::GraphMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different graph: fingerprint {found:#018x}, \
@@ -164,12 +113,9 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<SnapshotError> for CheckpointError {
-    fn from(value: SnapshotError) -> Self {
-        CheckpointError::Malformed {
-            field: "metrics",
-            detail: value.to_string(),
-        }
+impl From<DecodeError> for CheckpointError {
+    fn from(value: DecodeError) -> Self {
+        CheckpointError::Decode(value)
     }
 }
 
@@ -237,68 +183,9 @@ pub struct Checkpoint {
     /// not yet taken when the checkpoint was cut — without these,
     /// restore + `take_tokens` would silently drop the prefix.
     pub captured: Vec<Token>,
-    /// The partial run's accumulated metrics, embedded through the
-    /// lossless text snapshot codec (the serde seam).
+    /// The partial run's accumulated metrics, embedded as their
+    /// lossless text snapshot ([`Metrics::to_snapshot`]).
     pub metrics: Metrics,
-}
-
-/// FNV-1a 64 over `bytes` — the trailer checksum of the wire format.
-/// Public so adversarial tests can forge frames with valid trailers.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_field(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-}
-
-fn put_token(out: &mut Vec<u8>, token: &Token) {
-    match token {
-        Token::Unit => out.push(0),
-        Token::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Token::Float(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Token::Byte(b) => {
-            out.push(3);
-            out.push(*b);
-        }
-        Token::Complex(c) => {
-            out.push(4);
-            out.extend_from_slice(&c.re.to_le_bytes());
-            out.extend_from_slice(&c.im.to_le_bytes());
-        }
-        Token::Image(img) => {
-            out.push(5);
-            put_u64(out, img.width() as u64);
-            put_u64(out, img.height() as u64);
-            for &px in img.pixels() {
-                out.extend_from_slice(&px.to_le_bytes());
-            }
-        }
-        // A block's bytes are re-inlined: the handle's sharing is an
-        // in-process optimisation, the wire carries the payload.
-        Token::Block(bytes) => {
-            out.push(6);
-            put_u64(out, bytes.len() as u64);
-            out.extend_from_slice(bytes.as_slice());
-        }
-    }
 }
 
 fn put_mode(out: &mut Vec<u8>, mode: &Mode) {
@@ -319,307 +206,121 @@ fn put_mode(out: &mut Vec<u8>, mode: &Mode) {
     }
 }
 
-/// Bounds-checked cursor over a frame body. Every read reports
-/// [`CheckpointError::Truncated`] instead of slicing out of range, so
-/// the decoder is total over arbitrary input.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_mode(field: &mut Reader) -> Result<Mode, DecodeError> {
+    let what = "mode";
+    Ok(match field.u8(what)? {
+        0 => Mode::WaitAll,
+        1 => Mode::HighestPriority,
+        2 => Mode::SelectOne(field.u64(what)? as usize),
+        3 => Mode::SelectMany(field.list(8, what, |r| Ok(r.u64(what)? as usize))?),
+        other => {
+            return Err(DecodeError::Malformed {
+                field: what,
+                detail: format!("unknown mode tag {other}"),
+            })
+        }
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated { field });
+fn read_channel(field: &mut Reader) -> Result<ChannelCheckpoint, DecodeError> {
+    let capacity = field.u64("channel capacity")?;
+    let contents = match field.u8("channel kind")? {
+        0 => ChannelContents::Data(field.tokens("channel tokens")?),
+        1 => ChannelContents::Control(field.list(1, "channel modes", read_mode)?),
+        other => {
+            return Err(DecodeError::Malformed {
+                field: "channel kind",
+                detail: format!("unknown channel kind {other}"),
+            })
         }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, CheckpointError> {
-        Ok(self.bytes(1, field)?[0])
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, CheckpointError> {
-        let raw = self.bytes(8, field)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64(field)?))
-    }
-
-    /// A declared element count, sanity-capped by the bytes actually
-    /// remaining (`min_size` = the smallest possible encoding of one
-    /// element) so a forged count cannot drive a huge allocation.
-    fn count(&mut self, min_size: usize, field: &'static str) -> Result<usize, CheckpointError> {
-        let declared = self.u64(field)?;
-        let ceiling = (self.remaining() / min_size.max(1)) as u64;
-        if declared > ceiling {
-            return Err(CheckpointError::Malformed {
-                field,
-                detail: format!("declared {declared} elements, only {ceiling} can fit"),
-            });
-        }
-        Ok(declared as usize)
-    }
-
-    fn token(&mut self) -> Result<Token, CheckpointError> {
-        let field = "token";
-        Ok(match self.u8(field)? {
-            0 => Token::Unit,
-            1 => {
-                let raw = self.bytes(8, field)?;
-                Token::Int(i64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-            }
-            2 => Token::Float(self.f64(field)?),
-            3 => Token::Byte(self.u8(field)?),
-            4 => Token::Complex(Complex {
-                re: self.f64(field)?,
-                im: self.f64(field)?,
-            }),
-            5 => {
-                let width = self.u64(field)? as usize;
-                let height = self.u64(field)? as usize;
-                let count = width
-                    .checked_mul(height)
-                    .ok_or(CheckpointError::Malformed {
-                        field,
-                        detail: "image dimensions overflow".to_string(),
-                    })?;
-                let bytes = count.checked_mul(4).ok_or(CheckpointError::Malformed {
-                    field,
-                    detail: format!("an image of {count} pixels overflows"),
-                })?;
-                if self.remaining() < bytes {
-                    return Err(CheckpointError::Truncated { field });
-                }
-                let mut pixels = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let raw = self.bytes(4, field)?;
-                    pixels.push(f32::from_le_bytes(raw.try_into().expect("4-byte slice")));
-                }
-                Token::Image(Arc::new(GrayImage::from_pixels(width, height, pixels)))
-            }
-            6 => {
-                let len = self.u64(field)? as usize;
-                Token::Block(TokenBytes::new(self.bytes(len, field)?))
-            }
-            other => {
-                return Err(CheckpointError::Malformed {
-                    field,
-                    detail: format!("unknown token tag {other}"),
-                })
-            }
-        })
-    }
-
-    fn mode(&mut self) -> Result<Mode, CheckpointError> {
-        let field = "mode";
-        Ok(match self.u8(field)? {
-            0 => Mode::WaitAll,
-            1 => Mode::HighestPriority,
-            2 => Mode::SelectOne(self.u64(field)? as usize),
-            3 => {
-                let count = self.count(8, field)?;
-                let mut list = Vec::with_capacity(count);
-                for _ in 0..count {
-                    list.push(self.u64(field)? as usize);
-                }
-                Mode::SelectMany(list)
-            }
-            other => {
-                return Err(CheckpointError::Malformed {
-                    field,
-                    detail: format!("unknown mode tag {other}"),
-                })
-            }
-        })
-    }
+    };
+    Ok(ChannelCheckpoint { capacity, contents })
 }
 
 impl Checkpoint {
     /// Serializes the checkpoint into a self-describing, checksummed
-    /// frame (see the module docs for the wire format).
+    /// envelope (see the module docs for the wire format).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-
-        put_field(&mut out, TAG_ITERATION, &self.iteration.to_le_bytes());
-        put_field(&mut out, TAG_FINGERPRINT, &self.fingerprint.to_le_bytes());
-
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.control_firings.len() as u64);
-        for &n in &self.control_firings {
-            put_u64(&mut payload, n);
-        }
-        put_field(&mut out, TAG_CONTROL_FIRINGS, &payload);
-
-        payload.clear();
-        put_u64(&mut payload, self.channels.len() as u64);
-        for channel in &self.channels {
-            put_u64(&mut payload, channel.capacity);
-            match &channel.contents {
-                ChannelContents::Data(tokens) => {
-                    payload.push(0);
-                    put_u64(&mut payload, tokens.len() as u64);
-                    for token in tokens {
-                        put_token(&mut payload, token);
+        let mut env = Envelope::begin(&mut out, MAGIC, VERSION, &[]);
+        env.bytes(TAG_ITERATION, &self.iteration.to_le_bytes());
+        env.bytes(TAG_FINGERPRINT, &self.fingerprint.to_le_bytes());
+        env.field(TAG_CONTROL_FIRINGS, |out| {
+            put_u64(out, self.control_firings.len() as u64);
+            for &n in &self.control_firings {
+                put_u64(out, n);
+            }
+        });
+        env.field(TAG_CHANNELS, |out| {
+            put_u64(out, self.channels.len() as u64);
+            for channel in &self.channels {
+                put_u64(out, channel.capacity);
+                match &channel.contents {
+                    ChannelContents::Data(tokens) => {
+                        out.push(0);
+                        put_tokens(out, tokens);
                     }
-                }
-                ChannelContents::Control(modes) => {
-                    payload.push(1);
-                    put_u64(&mut payload, modes.len() as u64);
-                    for mode in modes {
-                        put_mode(&mut payload, mode);
+                    ChannelContents::Control(modes) => {
+                        out.push(1);
+                        put_u64(out, modes.len() as u64);
+                        for mode in modes {
+                            put_mode(out, mode);
+                        }
                     }
                 }
             }
-        }
-        put_field(&mut out, TAG_CHANNELS, &payload);
-
-        payload.clear();
-        put_u64(&mut payload, self.captured.len() as u64);
-        for token in &self.captured {
-            put_token(&mut payload, token);
-        }
-        put_field(&mut out, TAG_CAPTURED, &payload);
-
-        put_field(&mut out, TAG_METRICS, self.metrics.to_snapshot().as_bytes());
-
-        let digest = checksum(&out);
-        put_u64(&mut out, digest);
+        });
+        env.field(TAG_CAPTURED, |out| put_tokens(out, &self.captured));
+        env.bytes(TAG_METRICS, self.metrics.to_snapshot().as_bytes());
+        env.finish();
         out
     }
 
-    /// Decodes a frame produced by [`Checkpoint::encode`].
+    /// Decodes bytes produced by [`Checkpoint::encode`].
     ///
     /// # Errors
     ///
     /// Total over arbitrary bytes — every failure is a structured
-    /// [`CheckpointError`], never a panic. The checksum is verified
-    /// before any field is parsed.
+    /// [`CheckpointError::Decode`], never a panic. The checksum is
+    /// verified before any field is parsed.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 1 + 8 {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = bytes[MAGIC.len()];
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let found = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let expected = checksum(body);
-        if expected != found {
-            return Err(CheckpointError::ChecksumMismatch { expected, found });
-        }
-
-        let mut reader = Reader::new(&body[MAGIC.len() + 1..]);
         let mut iteration = None;
         let mut fingerprint = None;
         let mut control_firings = None;
         let mut channels = None;
         let mut captured = None;
         let mut metrics = None;
-        while reader.remaining() > 0 {
-            let tag = reader.u8("field tag")?;
-            let len = reader.u64("field length")? as usize;
-            let payload = reader.bytes(len, "field payload")?;
-            let mut field = Reader::new(payload);
+        read_envelope(bytes, MAGIC, VERSION, 0, |tag, field| {
             match tag {
                 TAG_ITERATION => iteration = Some(field.u64("iteration")?),
                 TAG_FINGERPRINT => fingerprint = Some(field.u64("fingerprint")?),
                 TAG_CONTROL_FIRINGS => {
-                    let count = field.count(8, "control_firings")?;
-                    let mut list = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        list.push(field.u64("control_firings")?);
-                    }
-                    control_firings = Some(list);
+                    let what = "control_firings";
+                    control_firings = Some(field.list(8, what, |r| r.u64(what))?);
                 }
-                TAG_CHANNELS => {
-                    let count = field.count(10, "channels")?;
-                    let mut list = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let capacity = field.u64("channel capacity")?;
-                        let kind = field.u8("channel kind")?;
-                        let contents = match kind {
-                            0 => {
-                                let n = field.count(1, "channel tokens")?;
-                                let mut tokens = Vec::with_capacity(n);
-                                for _ in 0..n {
-                                    tokens.push(field.token()?);
-                                }
-                                ChannelContents::Data(tokens)
-                            }
-                            1 => {
-                                let n = field.count(1, "channel modes")?;
-                                let mut modes = Vec::with_capacity(n);
-                                for _ in 0..n {
-                                    modes.push(field.mode()?);
-                                }
-                                ChannelContents::Control(modes)
-                            }
-                            other => {
-                                return Err(CheckpointError::Malformed {
-                                    field: "channel kind",
-                                    detail: format!("unknown channel kind {other}"),
-                                })
-                            }
-                        };
-                        list.push(ChannelCheckpoint { capacity, contents });
-                    }
-                    channels = Some(list);
-                }
-                TAG_CAPTURED => {
-                    let count = field.count(1, "captured")?;
-                    let mut tokens = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        tokens.push(field.token()?);
-                    }
-                    captured = Some(tokens);
-                }
+                TAG_CHANNELS => channels = Some(field.list(10, "channels", read_channel)?),
+                TAG_CAPTURED => captured = Some(field.tokens("captured")?),
                 TAG_METRICS => {
-                    let text =
-                        std::str::from_utf8(payload).map_err(|e| CheckpointError::Malformed {
+                    let text = field.str("metrics")?;
+                    let parsed =
+                        Metrics::from_snapshot(text).map_err(|e| DecodeError::Malformed {
                             field: "metrics",
                             detail: e.to_string(),
                         })?;
-                    metrics = Some(Metrics::from_snapshot(text)?);
-                    // The snapshot text is the whole payload.
-                    field.bytes(field.remaining(), "metrics")?;
+                    metrics = Some(parsed);
                 }
-                other => return Err(CheckpointError::UnknownField(other)),
+                other => return Err(DecodeError::UnknownField(other)),
             }
-            if field.remaining() > 0 {
-                return Err(CheckpointError::Malformed {
-                    field: "field payload",
-                    detail: format!("{} trailing bytes after field {tag}", field.remaining()),
-                });
-            }
-        }
-
+            Ok(())
+        })?;
+        let missing = DecodeError::MissingField;
         Ok(Checkpoint {
-            iteration: iteration.ok_or(CheckpointError::MissingField("iteration"))?,
-            fingerprint: fingerprint.ok_or(CheckpointError::MissingField("fingerprint"))?,
-            control_firings: control_firings
-                .ok_or(CheckpointError::MissingField("control_firings"))?,
-            channels: channels.ok_or(CheckpointError::MissingField("channels"))?,
-            captured: captured.ok_or(CheckpointError::MissingField("captured"))?,
-            metrics: metrics.ok_or(CheckpointError::MissingField("metrics"))?,
+            iteration: iteration.ok_or(missing("iteration"))?,
+            fingerprint: fingerprint.ok_or(missing("fingerprint"))?,
+            control_firings: control_firings.ok_or(missing("control_firings"))?,
+            channels: channels.ok_or(missing("channels"))?,
+            captured: captured.ok_or(missing("captured"))?,
+            metrics: metrics.ok_or(missing("metrics"))?,
         })
     }
 }
@@ -628,7 +329,11 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::executor::PlacementPolicy;
+    use crate::token::TokenBytes;
+    use std::sync::Arc;
     use std::time::Duration;
+    use tpdf_apps::dsp::Complex;
+    use tpdf_apps::image::GrayImage;
 
     fn zero_metrics() -> Metrics {
         Metrics {
@@ -736,8 +441,74 @@ mod tests {
         bytes[trailer..].copy_from_slice(&hash.to_le_bytes());
         assert!(matches!(
             Checkpoint::decode(&bytes),
-            Err(CheckpointError::Malformed { .. })
+            Err(CheckpointError::Decode(DecodeError::Malformed { .. }))
         ));
+    }
+
+    #[test]
+    fn forged_lengths_are_errors_not_panics() {
+        let mut checkpoint = empty_checkpoint();
+        checkpoint.control_firings = vec![4, 5];
+        checkpoint.channels = vec![
+            ChannelCheckpoint {
+                capacity: 2,
+                contents: ChannelContents::Data(vec![
+                    Token::image(GrayImage::from_pixels(1, 1, vec![0.5])),
+                    Token::block(vec![1u8, 2, 3]),
+                ]),
+            },
+            ChannelCheckpoint {
+                capacity: 1,
+                contents: ChannelContents::Control(vec![Mode::SelectMany(vec![0, 2])]),
+            },
+        ];
+        checkpoint.captured = vec![Token::Int(9)];
+        let bytes = checkpoint.encode();
+        // Layout: iteration field 5..22, fingerprint 22..39;
+        // control_firings tag 39, length 40..48, count 48..56; channels
+        // tag 72, count 81..89; channel 0 token count 98..106, image
+        // 106 (width 107..115, height 115..123), block 127 (length
+        // 128..136); channel 1 mode count 148..156, SelectMany 156
+        // (count 157..165); captured tag 181, count 190..198; metrics
+        // tag 207.
+        assert_eq!(
+            [bytes[39], bytes[72], bytes[106], bytes[127], bytes[156], bytes[181], bytes[207]],
+            [
+                TAG_CONTROL_FIRINGS,
+                TAG_CHANNELS,
+                5,
+                6,
+                3,
+                TAG_CAPTURED,
+                TAG_METRICS
+            ]
+        );
+        let lengths = [
+            ("field length", 40),
+            ("control_firings count", 48),
+            ("channels count", 81),
+            ("channel token count", 98),
+            ("image width", 107),
+            ("image height", 115),
+            ("block length", 128),
+            ("channel mode count", 148),
+            ("SelectMany count", 157),
+            ("captured count", 190),
+        ];
+        for (what, at) in lengths {
+            let honest = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            for forged in [honest + 1, 1 << 32, 1 << 62, u64::MAX] {
+                let mut bytes = bytes.clone();
+                bytes[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                let trailer = bytes.len() - 8;
+                let hash = checksum(&bytes[..trailer]);
+                bytes[trailer..].copy_from_slice(&hash.to_le_bytes());
+                assert!(
+                    Checkpoint::decode(&bytes).is_err(),
+                    "{what} forged to {forged} decoded"
+                );
+            }
+        }
     }
 
     #[test]
@@ -802,7 +573,9 @@ mod tests {
         bytes[body_len..].copy_from_slice(&digest.to_le_bytes());
         assert_eq!(
             Checkpoint::decode(&bytes),
-            Err(CheckpointError::UnsupportedVersion(VERSION + 1))
+            Err(CheckpointError::Decode(DecodeError::UnsupportedVersion(
+                VERSION + 1
+            )))
         );
     }
 
@@ -816,7 +589,7 @@ mod tests {
         bytes.extend_from_slice(&digest.to_le_bytes());
         assert_eq!(
             Checkpoint::decode(&bytes),
-            Err(CheckpointError::UnknownField(200))
+            Err(CheckpointError::Decode(DecodeError::UnknownField(200)))
         );
     }
 }

@@ -5,6 +5,7 @@
 use super::Engine;
 use crate::arena::ArenaStats;
 use crate::checkpoint::{ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError};
+use crate::codec::DecodeError;
 use crate::metrics::{DeadlineSelection, Metrics, RebindEvent};
 use crate::ring::RingBuffer;
 use crate::token::Token;
@@ -265,21 +266,23 @@ impl Engine {
             ),
         ] {
             if len != self.nodes.len() {
-                return Err(CheckpointError::Malformed {
+                return Err(DecodeError::Malformed {
                     field: "metrics",
                     detail: format!("{metric} has {len} entries for {} nodes", self.nodes.len()),
-                });
+                }
+                .into());
             }
         }
         if checkpoint.metrics.tokens_pushed.len() != self.chans.len() {
-            return Err(CheckpointError::Malformed {
+            return Err(DecodeError::Malformed {
                 field: "metrics",
                 detail: format!(
                     "metrics.tokens_pushed has {} entries for {} channels",
                     checkpoint.metrics.tokens_pushed.len(),
                     self.chans.len()
                 ),
-            });
+            }
+            .into());
         }
         if checkpoint.iteration >= self.config.iterations {
             return Err(CheckpointError::NothingToResume {
@@ -319,13 +322,14 @@ impl Engine {
                     ChannelRing::Control(ring)
                 }
                 _ => {
-                    return Err(CheckpointError::Malformed {
+                    return Err(DecodeError::Malformed {
                         field: "channels",
                         detail: format!(
                             "channel {i} ({}) kind disagrees with the graph",
                             info.label
                         ),
-                    })
+                    }
+                    .into())
                 }
             };
             rings.push(ring);
@@ -413,7 +417,7 @@ impl Engine {
 
     /// A structural fingerprint of the graph this engine executes: node
     /// names plus channel topology (label, endpoints, control flag,
-    /// initial tokens), hashed with the checkpoint codec's FNV-1a.
+    /// initial tokens), hashed with the codec's FNV-1a.
     /// Deliberately *excludes* iteration count, thread count, placement
     /// and ring capacities — a checkpoint may be restored under any of
     /// those varying (Kahn determinacy keeps the streams identical);
@@ -432,7 +436,7 @@ impl Engine {
             bytes.push(chan.is_control as u8);
             bytes.extend_from_slice(&chan.initial_tokens.to_le_bytes());
         }
-        crate::checkpoint::checksum(&bytes)
+        crate::codec::checksum(&bytes)
     }
 
     /// Captures a barrier-consistent [`Checkpoint`] from a *finished*

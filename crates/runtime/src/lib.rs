@@ -13,7 +13,8 @@
 //! | [`kernel`] | [`kernel::KernelBehavior`] / [`kernel::KernelRegistry`]: what each node computes, plus built-in Select-Duplicate, Transaction-with-vote and default semantics |
 //! | [`executor`] | [`executor::Executor`] / [`executor::CompiledExecutor`]: the sharded scheduler (per-node atomic claims, per-worker ready queues with stealing or manycore-mapped affinity placement — [`executor::PlacementPolicy`]) with control-token mode switching and real-deadline [`tpdf_core::KernelKind::Clock`] watchdogs; [`executor::RunRequest`] / [`executor::RunOutcome`], the one request and outcome of a run |
 //! | [`pool`] | [`pool::ExecutorPool`]: the one way to run a graph — [`pool::ExecutorPool::submit`] takes a `RunRequest` (fresh or resumed from a [`checkpoint::Checkpoint`], optionally cut at the final barrier) onto a persistent worker pool: threads spawned once, parked between runs, telemetry carried across runs |
-//! | [`checkpoint`] | [`checkpoint::Checkpoint`]: the barrier-consistent cut of a run and its versioned, checksummed byte codec |
+//! | [`checkpoint`] | [`checkpoint::Checkpoint`]: the barrier-consistent cut of a run and its `TPDC` byte format |
+//! | [`codec`] | the one envelope (magic, version, tagged fields, FNV-1a checksum), token list writer/reader and bounds-checked [`codec::Reader`] under both `TPDC` checkpoints and `tpdf-net`'s `TPDN` frames |
 //! | [`metrics`] | [`metrics::Metrics`]: per-actor firings, tokens/sec, deadline misses, per-worker firing/steal counts |
 //! | [`cases`] | the edge-detection, OFDM and FM-radio case studies ported to run end-to-end |
 //!
@@ -81,6 +82,7 @@
 pub mod arena;
 pub mod cases;
 pub mod checkpoint;
+pub mod codec;
 pub mod executor;
 pub mod kernel;
 pub mod metrics;

@@ -41,10 +41,9 @@ pub struct RebindEvent {
 
 /// Aggregate statistics of one runtime execution.
 ///
-/// The serde derives are the workspace's offline no-op stubs; the
-/// concrete text codec behind the seam is
-/// [`Metrics::to_snapshot`] / [`Metrics::from_snapshot`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// A checkpoint embeds it as text through [`Metrics::to_snapshot`] /
+/// [`Metrics::from_snapshot`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Complete graph iterations executed.
     pub iterations: u64,

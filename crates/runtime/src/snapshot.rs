@@ -1,9 +1,7 @@
 //! Text snapshot codec and Prometheus rendering for [`Metrics`].
 //!
-//! The workspace's serde dependency is an offline stub whose derive
-//! macros are no-ops, so the `#[derive(serde::Serialize)]` marker on
-//! [`Metrics`] carries no code; this module is the concrete codec
-//! behind that seam, built on [`tpdf_trace`]'s line-oriented
+//! The text is what a `TPDC` checkpoint carries as its metrics field
+//! ([`crate::checkpoint`]). It is built on [`tpdf_trace`]'s line-oriented
 //! [`SnapshotWriter`]/[`SnapshotReader`] (`key=value` lines, repeated
 //! keys forming ordered lists, floats as exact bit patterns). The
 //! encoding is lossless: [`Metrics::from_snapshot`] ∘

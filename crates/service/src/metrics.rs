@@ -1,18 +1,13 @@
 //! Aggregated statistics of a running (or drained) service.
 //!
-//! [`ServiceMetrics`] is serializable through the workspace's serde
-//! stub seam: the derive markers are no-ops, and the concrete codec is
-//! [`ServiceMetrics::to_snapshot`] / [`ServiceMetrics::from_snapshot`]
-//! (the same line-oriented `key=value` document format as
-//! `tpdf_runtime::Metrics`, with one repeated `session` line per
-//! session). [`ServiceMetrics::to_prometheus`] renders the same
-//! numbers in Prometheus text exposition format.
+//! [`ServiceMetrics::to_prometheus`] renders them in Prometheus text
+//! exposition format.
 
 use crate::service::SessionId;
-use tpdf_trace::{Exposition, SnapshotError, SnapshotReader, SnapshotWriter};
+use tpdf_trace::Exposition;
 
 /// Lifecycle phase of a session, as reported by [`SessionMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionPhase {
     /// Accepting new requests.
     Open,
@@ -26,7 +21,7 @@ pub enum SessionPhase {
 
 /// Per-session statistics, aggregated over the session's completed
 /// runs.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionMetrics {
     /// The session.
     pub id: SessionId,
@@ -81,7 +76,7 @@ impl SessionMetrics {
 }
 
 /// Aggregate statistics of the whole service.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceMetrics {
     /// Sessions admitted since the service started.
     pub sessions_admitted: u64,
@@ -144,139 +139,6 @@ impl ServiceMetrics {
             self.demand,
             self.capacity,
         )
-    }
-
-    /// Writes every field into `writer`: scalar `key=value` lines plus
-    /// one repeated `session` line per session (comma-separated fields
-    /// in declaration order, demand as an exact `f64:<hex>` bit
-    /// pattern).
-    pub fn write_snapshot(&self, writer: &mut SnapshotWriter) {
-        writer.field("sessions_admitted", self.sessions_admitted);
-        writer.field("sessions_rejected", self.sessions_rejected);
-        writer.field("requests_submitted", self.requests_submitted);
-        writer.field("requests_rejected", self.requests_rejected);
-        writer.field("runs_completed", self.runs_completed);
-        writer.field("runs_failed", self.runs_failed);
-        writer.field("checkpoints_taken", self.checkpoints_taken);
-        writer.field("restores", self.restores);
-        writer.field("migrations", self.migrations);
-        writer.field("active_sessions", self.active_sessions);
-        writer.field("queued_requests", self.queued_requests);
-        writer.field_f64("demand", self.demand);
-        writer.field_f64("capacity", self.capacity);
-        for session in &self.per_session {
-            let phase = match session.phase {
-                SessionPhase::Open => "open",
-                SessionPhase::Closed => "closed",
-                SessionPhase::Cancelled => "cancelled",
-            };
-            writer.field(
-                "session",
-                format_args!(
-                    "{},{},{},{},{},f64:{:016x},{},{},{},{},{},{},{},{},{}",
-                    session.id.0,
-                    phase,
-                    session.retired as u8,
-                    session.queue_depth,
-                    session.running as u8,
-                    session.demand.to_bits(),
-                    session.runs_completed,
-                    session.runs_failed,
-                    session.runs_cancelled,
-                    session.requests_rejected,
-                    session.firings,
-                    session.tokens,
-                    session.deadline_misses,
-                    session.arena_hits,
-                    session.arena_misses,
-                ),
-            );
-        }
-    }
-
-    /// Reads a snapshot written by [`ServiceMetrics::write_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when a required field is absent or fails to
-    /// parse.
-    pub fn read_snapshot(reader: &SnapshotReader) -> Result<ServiceMetrics, SnapshotError> {
-        let mut per_session = Vec::new();
-        for line in reader.values("session") {
-            let malformed = || SnapshotError::Malformed(format!("session={line}"));
-            let parts: Vec<&str> = line.split(',').collect();
-            let [id, phase, retired, queue_depth, running, demand, runs_completed, runs_failed, runs_cancelled, requests_rejected, firings, tokens, deadline_misses, arena_hits, arena_misses] =
-                parts[..]
-            else {
-                return Err(malformed());
-            };
-            let phase = match phase {
-                "open" => SessionPhase::Open,
-                "closed" => SessionPhase::Closed,
-                "cancelled" => SessionPhase::Cancelled,
-                _ => return Err(malformed()),
-            };
-            let flag = |text: &str| match text {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                _ => Err(malformed()),
-            };
-            let int = |text: &str| text.parse::<u64>().map_err(|_| malformed());
-            let demand = demand
-                .strip_prefix("f64:")
-                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .map(f64::from_bits)
-                .ok_or_else(malformed)?;
-            per_session.push(SessionMetrics {
-                id: SessionId(int(id)?),
-                phase,
-                retired: flag(retired)?,
-                queue_depth: int(queue_depth)? as usize,
-                running: flag(running)?,
-                demand,
-                runs_completed: int(runs_completed)?,
-                runs_failed: int(runs_failed)?,
-                runs_cancelled: int(runs_cancelled)?,
-                requests_rejected: int(requests_rejected)?,
-                firings: int(firings)?,
-                tokens: int(tokens)?,
-                deadline_misses: int(deadline_misses)?,
-                arena_hits: int(arena_hits)?,
-                arena_misses: int(arena_misses)?,
-            });
-        }
-        Ok(ServiceMetrics {
-            sessions_admitted: reader.u64("sessions_admitted")?,
-            sessions_rejected: reader.u64("sessions_rejected")?,
-            requests_submitted: reader.u64("requests_submitted")?,
-            requests_rejected: reader.u64("requests_rejected")?,
-            runs_completed: reader.u64("runs_completed")?,
-            runs_failed: reader.u64("runs_failed")?,
-            checkpoints_taken: reader.u64("checkpoints_taken")?,
-            restores: reader.u64("restores")?,
-            migrations: reader.u64("migrations")?,
-            active_sessions: reader.get("active_sessions")?,
-            queued_requests: reader.get("queued_requests")?,
-            demand: reader.f64("demand")?,
-            capacity: reader.f64("capacity")?,
-            per_session,
-        })
-    }
-
-    /// The snapshot as one text document.
-    pub fn to_snapshot(&self) -> String {
-        let mut writer = SnapshotWriter::new();
-        self.write_snapshot(&mut writer);
-        writer.finish()
-    }
-
-    /// Parses a document produced by [`ServiceMetrics::to_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on a missing or malformed field.
-    pub fn from_snapshot(text: &str) -> Result<ServiceMetrics, SnapshotError> {
-        ServiceMetrics::read_snapshot(&SnapshotReader::parse(text)?)
     }
 
     /// Renders the service aggregates in Prometheus text exposition
@@ -446,31 +308,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn service_metrics_round_trip_exactly() {
-        let metrics = sample();
-        let back = ServiceMetrics::from_snapshot(&metrics.to_snapshot()).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn empty_session_table_round_trips() {
-        let mut metrics = sample();
-        metrics.per_session.clear();
-        let back = ServiceMetrics::from_snapshot(&metrics.to_snapshot()).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn malformed_session_lines_are_rejected() {
-        let mut text = sample().to_snapshot();
-        text = text.replace(",open,", ",paused,");
-        assert!(matches!(
-            ServiceMetrics::from_snapshot(&text),
-            Err(SnapshotError::Malformed(what)) if what.contains("session=")
-        ));
     }
 
     #[test]

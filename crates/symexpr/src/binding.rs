@@ -1,6 +1,5 @@
 //! Parameter bindings (environments) for evaluating symbolic expressions.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(b.get("p"), Some(4));
 /// assert_eq!(b.get("q"), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Binding {
     values: BTreeMap<String, i64>,
 }

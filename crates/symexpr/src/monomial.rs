@@ -1,7 +1,6 @@
 //! Monomials: a rational coefficient times a product of parameters.
 
 use crate::{Binding, Rational, SymExprError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -21,7 +20,7 @@ use std::fmt;
 /// let two_p = Monomial::constant(Rational::from_integer(2)) * Monomial::param("p");
 /// assert_eq!(two_p.to_string(), "2*p");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Monomial {
     coeff: Rational,
     /// parameter name → exponent (≥ 1); the map never stores zero

@@ -1,7 +1,6 @@
 //! Multivariate polynomials with rational coefficients.
 
 use crate::{Binding, Monomial, Rational, SymExprError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -26,7 +25,7 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Poly {
     /// variable-part key → monomial. Keeping a map keyed by the variable
     /// part guarantees like terms are always merged (canonical form).

@@ -1,7 +1,6 @@
 //! Exact rational numbers backed by `i128`.
 
 use crate::{gcd, SymExprError};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -24,7 +23,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(half + third, Rational::new(5, 6));
 /// assert_eq!((half * third).to_string(), "1/6");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
     den: i128,

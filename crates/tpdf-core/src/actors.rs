@@ -1,6 +1,5 @@
 //! Special TPDF kernels: Select-duplicate, Transaction and Clock.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of computation performed by a kernel node.
@@ -22,7 +21,7 @@ use std::fmt;
 ///   period elapses; it is a *control actor* kind and gives TPDF its
 ///   time-triggered semantics (e.g. the 500 ms deadline of the
 ///   edge-detection case study).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum KernelKind {
     /// An ordinary computation kernel.
     #[default]

@@ -3,7 +3,6 @@
 
 use crate::graph::{NodeId, TpdfGraph};
 use crate::TpdfError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tpdf_symexpr::{Binding, Monomial, Poly, Rational};
 
@@ -13,7 +12,7 @@ use tpdf_symexpr::{Binding, Monomial, Poly, Rational};
 /// sequences (`r_j`) and `counts()[j]` the symbolic number of firings
 /// (`q_j = τ_j · r_j`) of node `j` in one graph iteration. For the graph
 /// of Figure 2 the counts are `[2, 2p, p, p, 2p, 2p]` (Example 2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolicRepetition {
     cycle_counts: Vec<Poly>,
     counts: Vec<Poly>,

@@ -3,17 +3,16 @@
 use crate::actors::KernelKind;
 use crate::rate::RateSeq;
 use crate::TpdfError;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use tpdf_symexpr::Binding;
 
 /// Identifier of a node (kernel or control actor) in a [`TpdfGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Identifier of a channel in a [`TpdfGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -30,7 +29,7 @@ impl fmt::Display for ChannelId {
 
 /// Whether a node is a computation kernel (`K` in Definition 2) or a
 /// control actor (`G`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeClass {
     /// A computation kernel of the given [`KernelKind`].
     Kernel(KernelKind),
@@ -52,7 +51,7 @@ impl NodeClass {
 }
 
 /// Whether a channel carries data tokens or control tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelClass {
     /// Ordinary FIFO data channel.
     Data,
@@ -62,7 +61,7 @@ pub enum ChannelClass {
 }
 
 /// A node of a TPDF graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpdfNode {
     /// Unique human-readable name.
     pub name: String,
@@ -89,7 +88,7 @@ impl TpdfNode {
 }
 
 /// A channel (directed edge) of a TPDF graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpdfChannel {
     /// Producing node.
     pub source: NodeId,
@@ -139,7 +138,7 @@ impl TpdfChannel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpdfGraph {
     nodes: Vec<TpdfNode>,
     channels: Vec<TpdfChannel>,

@@ -1,6 +1,5 @@
 //! Kernel modes and control tokens.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operating mode a control token selects for a kernel (Definition 2
@@ -12,7 +11,7 @@ use std::fmt;
 /// tokens are discarded at the end of the local iteration), which is how
 /// TPDF expresses dynamic topology changes without breaking static
 /// analysability.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Select exactly one data input (or output), identified by its port
     /// index among the kernel's data ports.
@@ -82,7 +81,7 @@ impl fmt::Display for Mode {
 /// time at which it was emitted (used by [`crate::actors::KernelKind::Clock`]
 /// watchdogs to implement deadlines such as the 500 ms timeout of the
 /// edge-detection case study).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlToken {
     /// The mode the receiving kernel must fire in.
     pub mode: Mode,

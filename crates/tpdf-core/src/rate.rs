@@ -1,7 +1,6 @@
 //! Parametric (symbolic) cyclic rate sequences.
 
 use crate::TpdfError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tpdf_symexpr::{Binding, Poly};
 
@@ -27,7 +26,7 @@ use tpdf_symexpr::{Binding, Poly};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RateSeq {
     seq: Vec<Poly>,
 }

@@ -5,17 +5,16 @@ use crate::consistency::{symbolic_repetition_vector, SymbolicRepetition};
 use crate::graph::{NodeId, TpdfGraph};
 use crate::schedule::adf::actor_dependence;
 use crate::TpdfError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tpdf_symexpr::Binding;
 
 /// Identifier of a firing inside a [`CanonicalPeriod`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FiringId(pub usize);
 
 /// One vertex of the canonical period: the `ordinal`-th firing of `node`
 /// (`A1`, `A2`, `B1`, … in Figure 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Firing {
     /// The node being fired.
     pub node: NodeId,
@@ -35,7 +34,7 @@ pub struct Firing {
 /// This is the partial order the ΣC tool-chain uses for the MPPA-256 and
 /// that the paper reuses for TPDF (with control actors at the highest
 /// priority and kernels woken by control tokens).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalPeriod {
     firings: Vec<Firing>,
     /// Dependencies: `predecessors[i]` lists the firings that must finish

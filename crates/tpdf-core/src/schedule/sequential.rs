@@ -3,11 +3,10 @@
 use crate::consistency::{symbolic_repetition_vector, SymbolicRepetition};
 use crate::graph::{NodeId, TpdfGraph};
 use crate::TpdfError;
-use serde::{Deserialize, Serialize};
 use tpdf_symexpr::Binding;
 
 /// One run-length-encoded entry of a sequential schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequentialEntry {
     /// The node to fire.
     pub node: NodeId,
@@ -22,7 +21,7 @@ pub struct SequentialEntry {
 /// it is fired before any ready kernel, reflecting the scheduling rule of
 /// Section III-D ("the control actor is scheduled for execution with the
 /// highest priority").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequentialSchedule {
     entries: Vec<SequentialEntry>,
     binding: Binding,

@@ -184,7 +184,7 @@ const FIRING_DUR_BITS: u32 = 40;
 const FIRING_DUR_MASK: u64 = (1 << FIRING_DUR_BITS) - 1;
 
 /// One decoded trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Nanoseconds since the tracer's epoch.
     pub ts_ns: u64,

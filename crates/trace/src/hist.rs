@@ -5,12 +5,9 @@
 //! so bucket `i` covers `[2^(i-1), 2^i - 1]` (bucket 0 holds zeros).
 //! Recording is a single `Relaxed` `fetch_add` — safe from any worker
 //! with no coordination — and a [`HistogramSnapshot`] freezes the
-//! counters for percentile math, Prometheus exposition and the
-//! snapshot codec.
+//! counters for percentile math and Prometheus exposition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::snap::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Number of log2 buckets: one per possible bit length of a `u64`.
 const BUCKETS: usize = 64;
@@ -78,7 +75,7 @@ impl Log2Histogram {
 
 /// An immutable copy of a [`Log2Histogram`]'s counters, trimmed of
 /// trailing empty buckets.
-#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts; bucket `i` covers values whose
     /// bit length is `i` (see [`HistogramSnapshot::bucket_bound`]).
@@ -147,22 +144,6 @@ impl HistogramSnapshot {
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
         }
-    }
-
-    /// Writes the snapshot through the line codec under `prefix`.
-    pub fn write_into(&self, prefix: &str, w: &mut SnapshotWriter) {
-        w.field_list(&format!("{prefix}.buckets"), self.buckets.iter().copied());
-        w.field(&format!("{prefix}.count"), self.count);
-        w.field(&format!("{prefix}.sum"), self.sum);
-    }
-
-    /// Reads a snapshot written by [`HistogramSnapshot::write_into`].
-    pub fn read_from(prefix: &str, r: &SnapshotReader) -> Result<HistogramSnapshot, SnapshotError> {
-        Ok(HistogramSnapshot {
-            buckets: r.u64_list(&format!("{prefix}.buckets"))?,
-            count: r.u64(&format!("{prefix}.count"))?,
-            sum: r.u64(&format!("{prefix}.sum"))?,
-        })
     }
 }
 
@@ -234,18 +215,5 @@ mod tests {
         let empty = earlier.delta(&h.snapshot());
         assert_eq!(empty.count, 0);
         assert!(empty.buckets.is_empty());
-    }
-
-    #[test]
-    fn snapshot_codec_round_trips() {
-        let h = Log2Histogram::new();
-        for v in [0u64, 7, 7, 4096] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let mut w = SnapshotWriter::new();
-        s.write_into("firing_ns", &mut w);
-        let r = SnapshotReader::parse(&w.finish()).unwrap();
-        assert_eq!(HistogramSnapshot::read_from("firing_ns", &r).unwrap(), s);
     }
 }

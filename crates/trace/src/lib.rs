@@ -18,7 +18,7 @@
 //! | [`log`] | [`log::TraceLog`]: the merged monotone timeline, Chrome trace-event JSON export, per-phase summaries |
 //! | [`expo`] | [`expo::Exposition`]: Prometheus-style text exposition builder, plus [`expo::lint`], a promtool-style conformance check |
 //! | [`series`] | [`series::SeriesRing`]: bounded overwrite-oldest time series for sampled aggregates (rate-over-window views) |
-//! | [`snap`] | [`snap::SnapshotWriter`] / [`snap::SnapshotReader`]: the line-oriented snapshot codec backing the serde seam |
+//! | [`snap`] | [`snap::SnapshotWriter`] / [`snap::SnapshotReader`]: the line-oriented text snapshot codec (what a `TPDC` checkpoint embeds as its metrics field) |
 //! | [`json`] | [`json::validate`] / [`json::validate_interop`]: a dependency-free JSON well-formedness checker (the interop variant also rejects integer literals a double cannot hold exactly) |
 //!
 //! ## Cost model

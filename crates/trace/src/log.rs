@@ -24,7 +24,7 @@ pub struct ChromeLabels {
 
 /// Throughput of one plan (phase) of the run, aggregated from its
 /// firing events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSummary {
     /// Plan index the firings executed under.
     pub plan: u64,

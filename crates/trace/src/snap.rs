@@ -1,10 +1,8 @@
 //! The line-oriented snapshot codec.
 //!
-//! The workspace's serde dependency is an offline stub whose derive
-//! macros are no-ops, so `#[derive(Serialize)]` marks the seam but
-//! produces no code. This module is the concrete codec behind that
-//! seam: a snapshot is a text document of `key=value` lines, one field
-//! per line, with repeated keys forming ordered lists. It is
+//! A snapshot is a text document of `key=value` lines, one field per
+//! line, with repeated keys forming ordered lists; a `TPDC` checkpoint
+//! carries the runtime's metrics in this form. It is
 //! deliberately trivial — diffable in a terminal, greppable, and
 //! stable across versions that only add fields.
 //!

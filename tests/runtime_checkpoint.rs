@@ -47,6 +47,7 @@ use tpdf_suite::core::graph::TpdfGraph;
 use tpdf_suite::core::mode::Mode;
 use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::checkpoint::{checksum, VERSION};
+use tpdf_suite::runtime::codec::DecodeError;
 use tpdf_suite::runtime::kernel::KernelRegistry;
 use tpdf_suite::runtime::{
     ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError, CompiledExecutor,
@@ -580,7 +581,9 @@ fn version_skew_is_rejected_with_descriptive_errors() {
     bumped[body_len..].copy_from_slice(&sum);
     assert_eq!(
         Checkpoint::decode(&bumped),
-        Err(CheckpointError::UnsupportedVersion(VERSION + 1))
+        Err(CheckpointError::Decode(DecodeError::UnsupportedVersion(
+            VERSION + 1
+        )))
     );
 
     // An unknown trailing field (tag 250, empty payload) appended by a
@@ -594,7 +597,7 @@ fn version_skew_is_rejected_with_descriptive_errors() {
     extended.extend_from_slice(&sum);
     assert_eq!(
         Checkpoint::decode(&extended),
-        Err(CheckpointError::UnknownField(250))
+        Err(CheckpointError::Decode(DecodeError::UnknownField(250)))
     );
 }
 
