@@ -7,6 +7,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,7 +16,7 @@ use std::time::{Duration, Instant};
 use tpdf_suite::apps::ofdm::OfdmConfig;
 use tpdf_suite::core::examples::figure2_graph;
 use tpdf_suite::net::ofdm::{run_records, wire_fed_ofdm};
-use tpdf_suite::net::{NetApps, NetClient, NetConfig, NetFeed, NetServer};
+use tpdf_suite::net::{NetApps, NetClient, NetConfig, NetFeed, NetMetrics, NetServer};
 use tpdf_suite::ops::{Health, IncidentCause, OpsConfig, OpsPlane};
 use tpdf_suite::runtime::Token;
 use tpdf_suite::runtime::{KernelRegistry, RuntimeConfig, Tracer};
@@ -400,6 +402,87 @@ fn wire_fed_sessions_with_live_admin_and_client_kill() {
         handle.join().expect("client thread");
     }
     server.shutdown();
+    plane.shutdown();
+    service.drain();
+}
+
+/// The `/metrics` document of a fixed state, byte for byte: two idle
+/// Figure 2 sessions (one with an SLO), a hand-set net ledger, a tracer
+/// that recorded no run and exactly two sampler ticks. Every
+/// `tpdf_service_*`, `tpdf_net_*`, `tpdf_trace_*` and `tpdf_ops_*`
+/// family appears in it, so a renderer change that moves a byte of the
+/// exposition fails here. The fixture is written on first run when
+/// missing; commit it.
+#[test]
+fn metrics_text_matches_the_v1_golden() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/metrics_v1.prom");
+    let tracer = Tracer::flight_recorder(1, 64);
+    let service = Arc::new(TpdfService::new(
+        ServiceConfig::default()
+            .with_threads(2)
+            .with_tracer(Arc::clone(&tracer)),
+    ));
+    // A sampler period no test outlives: the background thread ticks
+    // once at start and then sleeps, so the tick count is fixed.
+    let plane = OpsPlane::start(
+        Arc::clone(&service),
+        OpsConfig::default().with_period(Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let graph = figure2_graph();
+    let config = RuntimeConfig::new(binding(2)).with_iterations(1);
+    service
+        .open_session(&graph, config.clone(), KernelRegistry::new())
+        .expect("admit");
+    service
+        .open_session_with_slo(
+            &graph,
+            config,
+            KernelRegistry::new(),
+            Some(SloSpec::default().with_max_queue_depth(4)),
+        )
+        .expect("admit with slo");
+    let net = Arc::new(NetMetrics::new());
+    for (i, counter) in [
+        &net.conns_accepted,
+        &net.conns_refused,
+        &net.conns_evicted,
+        &net.conns_closed,
+        &net.sessions_opened,
+        &net.admission_refusals,
+        &net.frames_in,
+        &net.frames_out,
+        &net.bytes_in,
+        &net.bytes_out,
+        &net.records_in,
+        &net.results_out,
+        &net.backoffs,
+        &net.protocol_errors,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        counter.store(3 * i as u64 + 1, Relaxed);
+    }
+    plane.attach_net(net);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while plane.health().samples < 1 {
+        assert!(Instant::now() < deadline, "the sampler never ticked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    plane.sample_now();
+
+    let text = plane.metrics_text();
+    if !path.exists() {
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixtures/");
+        std::fs::write(&path, &text).expect("write fixture");
+    }
+    let golden = std::fs::read_to_string(&path).expect("read the metrics fixture");
+    assert_eq!(
+        text, golden,
+        "/metrics drifted from tests/fixtures/metrics_v1.prom"
+    );
+    tpdf_suite::trace::lint_prometheus(&golden).unwrap_or_else(|e| panic!("lint: {e}"));
     plane.shutdown();
     service.drain();
 }
