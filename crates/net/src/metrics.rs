@@ -4,42 +4,71 @@
 //! bumps as it accepts, reads, backpressures and evicts; any thread
 //! can take a coherent-enough [`NetMetricsSnapshot`] at any time and
 //! render it as Prometheus text exposition.
+//!
+//! Each counter is declared once, as one `field: "help"` row of
+//! `net_counters!`. The row yields the atomic field, the snapshot
+//! field, its copy in [`NetMetrics::snapshot`] and the
+//! `tpdf_net_<field>_total` family of
+//! [`NetMetricsSnapshot::to_prometheus`].
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use tpdf_trace::Exposition;
 
-/// Lock-free counters of the network ingestion layer. All monotone.
-#[derive(Debug, Default)]
-pub struct NetMetrics {
-    /// Connections accepted from the listener.
-    pub conns_accepted: AtomicU64,
-    /// Connections refused at the connection cap.
-    pub conns_refused: AtomicU64,
-    /// Connections evicted as idle or too slow to drain results.
-    pub conns_evicted: AtomicU64,
-    /// Connections that ended (cleanly or not), evictions included.
-    pub conns_closed: AtomicU64,
-    /// Sessions opened on behalf of `Hello` frames.
-    pub sessions_opened: AtomicU64,
-    /// `Hello` frames refused by service admission control.
-    pub admission_refusals: AtomicU64,
-    /// Complete frames decoded from clients.
-    pub frames_in: AtomicU64,
-    /// Frames sent to clients.
-    pub frames_out: AtomicU64,
-    /// Raw bytes read from client sockets.
-    pub bytes_in: AtomicU64,
-    /// Raw bytes written to client sockets.
-    pub bytes_out: AtomicU64,
-    /// Input tokens received in `Records` frames.
-    pub records_in: AtomicU64,
-    /// `Result` frames delivered.
-    pub results_out: AtomicU64,
-    /// `Backoff` frames sent (queue-full, feed-full or admission).
-    pub backoffs: AtomicU64,
-    /// Connections dropped for protocol violations or wire garbage.
-    pub protocol_errors: AtomicU64,
+macro_rules! net_counters {
+    ($($field:ident: $help:literal,)*) => {
+        /// Lock-free counters of the network ingestion layer. All monotone.
+        #[derive(Debug, Default)]
+        pub struct NetMetrics {
+            $(#[doc = $help] pub $field: AtomicU64,)*
+        }
+
+        /// A plain copy of the [`NetMetrics`] counters, exportable as a
+        /// Prometheus exposition.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct NetMetricsSnapshot {
+            $(#[doc = $help] pub $field: u64,)*
+        }
+
+        impl NetMetrics {
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> NetMetricsSnapshot {
+                NetMetricsSnapshot {
+                    $($field: self.$field.load(Relaxed),)*
+                }
+            }
+        }
+
+        impl NetMetricsSnapshot {
+            /// Renders the ledger in Prometheus text exposition format,
+            /// one `tpdf_net_<field>_total` counter per field.
+            pub fn to_prometheus(&self) -> String {
+                let mut expo = Exposition::new();
+                $(
+                    let name = concat!("tpdf_net_", stringify!($field), "_total");
+                    expo.counter(name, $help, self.$field);
+                )*
+                expo.finish()
+            }
+        }
+    };
+}
+
+net_counters! {
+    conns_accepted: "Connections accepted from the listener",
+    conns_refused: "Connections refused at the connection cap",
+    conns_evicted: "Connections evicted as idle or slow",
+    conns_closed: "Connections ended, evictions included",
+    sessions_opened: "Sessions opened on behalf of Hello frames",
+    admission_refusals: "Hello frames refused by admission control",
+    frames_in: "Complete frames decoded from clients",
+    frames_out: "Frames sent to clients",
+    bytes_in: "Raw bytes read from client sockets",
+    bytes_out: "Raw bytes written to client sockets",
+    records_in: "Input tokens received in Records frames",
+    results_out: "Result frames delivered",
+    backoffs: "Backoff frames sent",
+    protocol_errors: "Connections dropped for protocol violations",
 }
 
 impl NetMetrics {
@@ -47,60 +76,6 @@ impl NetMetrics {
     pub fn new() -> NetMetrics {
         NetMetrics::default()
     }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> NetMetricsSnapshot {
-        NetMetricsSnapshot {
-            conns_accepted: self.conns_accepted.load(Relaxed),
-            conns_refused: self.conns_refused.load(Relaxed),
-            conns_evicted: self.conns_evicted.load(Relaxed),
-            conns_closed: self.conns_closed.load(Relaxed),
-            sessions_opened: self.sessions_opened.load(Relaxed),
-            admission_refusals: self.admission_refusals.load(Relaxed),
-            frames_in: self.frames_in.load(Relaxed),
-            frames_out: self.frames_out.load(Relaxed),
-            bytes_in: self.bytes_in.load(Relaxed),
-            bytes_out: self.bytes_out.load(Relaxed),
-            records_in: self.records_in.load(Relaxed),
-            results_out: self.results_out.load(Relaxed),
-            backoffs: self.backoffs.load(Relaxed),
-            protocol_errors: self.protocol_errors.load(Relaxed),
-        }
-    }
-}
-
-/// A plain copy of the [`NetMetrics`] counters, exportable through the
-/// snapshot codec and as a Prometheus exposition.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetMetricsSnapshot {
-    /// Connections accepted from the listener.
-    pub conns_accepted: u64,
-    /// Connections refused at the connection cap.
-    pub conns_refused: u64,
-    /// Connections evicted as idle or too slow to drain results.
-    pub conns_evicted: u64,
-    /// Connections that ended (cleanly or not), evictions included.
-    pub conns_closed: u64,
-    /// Sessions opened on behalf of `Hello` frames.
-    pub sessions_opened: u64,
-    /// `Hello` frames refused by service admission control.
-    pub admission_refusals: u64,
-    /// Complete frames decoded from clients.
-    pub frames_in: u64,
-    /// Frames sent to clients.
-    pub frames_out: u64,
-    /// Raw bytes read from client sockets.
-    pub bytes_in: u64,
-    /// Raw bytes written to client sockets.
-    pub bytes_out: u64,
-    /// Input tokens received in `Records` frames.
-    pub records_in: u64,
-    /// `Result` frames delivered.
-    pub results_out: u64,
-    /// `Backoff` frames sent.
-    pub backoffs: u64,
-    /// Connections dropped for protocol violations or wire garbage.
-    pub protocol_errors: u64,
 }
 
 impl NetMetricsSnapshot {
@@ -120,83 +95,6 @@ impl NetMetricsSnapshot {
             self.backoffs,
             self.protocol_errors,
         )
-    }
-
-    /// Renders the ledger in Prometheus text exposition format
-    /// (metrics prefixed `tpdf_net_`).
-    pub fn to_prometheus(&self) -> String {
-        let mut expo = Exposition::new();
-        expo.counter(
-            "tpdf_net_conns_accepted_total",
-            "Connections accepted from the listener",
-            self.conns_accepted,
-        );
-        expo.counter(
-            "tpdf_net_conns_refused_total",
-            "Connections refused at the connection cap",
-            self.conns_refused,
-        );
-        expo.counter(
-            "tpdf_net_conns_evicted_total",
-            "Connections evicted as idle or slow",
-            self.conns_evicted,
-        );
-        expo.counter(
-            "tpdf_net_conns_closed_total",
-            "Connections ended, evictions included",
-            self.conns_closed,
-        );
-        expo.counter(
-            "tpdf_net_sessions_opened_total",
-            "Sessions opened on behalf of Hello frames",
-            self.sessions_opened,
-        );
-        expo.counter(
-            "tpdf_net_admission_refusals_total",
-            "Hello frames refused by admission control",
-            self.admission_refusals,
-        );
-        expo.counter(
-            "tpdf_net_frames_in_total",
-            "Complete frames decoded from clients",
-            self.frames_in,
-        );
-        expo.counter(
-            "tpdf_net_frames_out_total",
-            "Frames sent to clients",
-            self.frames_out,
-        );
-        expo.counter(
-            "tpdf_net_bytes_in_total",
-            "Raw bytes read from client sockets",
-            self.bytes_in,
-        );
-        expo.counter(
-            "tpdf_net_bytes_out_total",
-            "Raw bytes written to client sockets",
-            self.bytes_out,
-        );
-        expo.counter(
-            "tpdf_net_records_in_total",
-            "Input tokens received in Records frames",
-            self.records_in,
-        );
-        expo.counter(
-            "tpdf_net_results_out_total",
-            "Result frames delivered",
-            self.results_out,
-        );
-        expo.counter(
-            "tpdf_net_backoffs_total",
-            "Backoff frames sent",
-            self.backoffs,
-        );
-        expo.counter(
-            "tpdf_net_protocol_errors_total",
-            "Connections dropped for protocol violations",
-            self.protocol_errors,
-        );
-        expo.finish()
     }
 }
 

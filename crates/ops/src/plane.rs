@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 
 use tpdf_net::NetMetrics;
 use tpdf_service::{SessionInspection, SessionPhase, SloSpec, TpdfService};
-use tpdf_trace::{Exposition, HistogramSnapshot, SeriesRing, TraceEvent, Tracer};
+use tpdf_trace::{
+    Exposition, Family, HistogramSnapshot, SeriesRing, TraceEvent, TraceHistograms, Tracer,
+};
 
 use crate::health::{Health, HealthReport, SessionHealth, SloVerdict};
 use crate::incident::{Incident, IncidentCause, WindowStats};
@@ -336,10 +338,11 @@ impl Shared {
                 .entry(insp.metrics.id.0)
                 .or_insert_with(|| Track::new(self.config.ring_capacity));
             let m = &insp.metrics;
-            track.tokens.push(now_ns, m.tokens as f64);
-            track.runs.push(now_ns, m.runs_completed as f64);
-            track.misses.push(now_ns, m.deadline_misses as f64);
-            track.rejected.push(now_ns, m.requests_rejected as f64);
+            let c = &m.counters;
+            track.tokens.push(now_ns, c.tokens as f64);
+            track.runs.push(now_ns, c.runs_completed as f64);
+            track.misses.push(now_ns, c.deadline_misses as f64);
+            track.rejected.push(now_ns, c.requests_rejected as f64);
             track.queue.push(now_ns, m.queue_depth as f64);
 
             let slo = insp.slo.clone().or_else(|| {
@@ -358,11 +361,11 @@ impl Shared {
             let (prev_completed, prev_failed, prev_rejected) =
                 track
                     .prev
-                    .unwrap_or((m.runs_completed, m.runs_failed, m.requests_rejected));
-            track.prev = Some((m.runs_completed, m.runs_failed, m.requests_rejected));
-            let tick_completed = m.runs_completed.saturating_sub(prev_completed);
-            let tick_failed = m.runs_failed.saturating_sub(prev_failed);
-            let tick_rejected = m.requests_rejected.saturating_sub(prev_rejected);
+                    .unwrap_or((c.runs_completed, c.runs_failed, c.requests_rejected));
+            track.prev = Some((c.runs_completed, c.runs_failed, c.requests_rejected));
+            let tick_completed = c.runs_completed.saturating_sub(prev_completed);
+            let tick_failed = c.runs_failed.saturating_sub(prev_failed);
+            let tick_rejected = c.requests_rejected.saturating_sub(prev_rejected);
 
             let stall_budget = slo.as_ref().and_then(|s| s.stall_budget);
             let stalled = m.running
@@ -430,7 +433,7 @@ impl Shared {
                 filed.push((
                     insp.clone(),
                     IncidentCause::RunFailed,
-                    format!("{tick_failed} run(s) failed ({} total)", m.runs_failed),
+                    format!("{tick_failed} run(s) failed ({} total)", c.runs_failed),
                     window.clone(),
                 ));
             }
@@ -441,7 +444,7 @@ impl Shared {
                 filed.push((
                     insp.clone(),
                     IncidentCause::SessionCancelled,
-                    format!("session cancelled with {} run(s) dropped", m.runs_cancelled),
+                    format!("session cancelled with {} run(s) dropped", c.runs_cancelled),
                     window.clone(),
                 ));
             }
@@ -531,7 +534,7 @@ impl Shared {
                 } else {
                     0.0
                 },
-                arena_hit_rate: m.arena_hit_rate(),
+                arena_hit_rate: c.arena_hit_rate(),
                 verdicts,
             });
         }
@@ -605,68 +608,69 @@ impl Shared {
         if let Some(net) = self.net.lock().expect("ops net lock").as_ref() {
             doc.push_str(&net.snapshot().to_prometheus());
         }
+        let mut expo = Exposition::new();
         if let Some(tracer) = &self.tracer {
-            let histograms = tracer.histograms();
-            let mut expo = Exposition::new();
-            expo.histogram(
-                "tpdf_trace_firing_ns",
-                "Firing durations",
-                &histograms.firing_ns.snapshot(),
-            );
-            expo.histogram(
-                "tpdf_trace_run_latency_ns",
-                "Run latency from queue exit to completion",
-                &histograms.run_latency_ns.snapshot(),
-            );
-            expo.histogram(
-                "tpdf_trace_queue_wait_ns",
-                "Ingress queue wait",
-                &histograms.queue_wait_ns.snapshot(),
-            );
-            doc.push_str(&expo.finish());
+            expo.families(TRACE_FAMILIES, tracer.histograms());
         }
         let state = self.state.lock().expect("ops lock");
-        let mut expo = Exposition::new();
-        expo.gauge(
-            "tpdf_ops_health",
-            "Service health: 0 ok, 1 degraded, 2 failing",
-            state.report.health as u8 as f64,
-        );
-        expo.counter(
-            "tpdf_ops_samples_total",
-            "Sampler ticks since the plane started",
-            state.report.samples,
-        );
-        expo.counter(
-            "tpdf_ops_incidents_total",
-            "Incidents filed since the plane started",
-            state.incidents_total,
-        );
-        for s in &state.report.sessions {
-            expo.gauge_with(
-                "tpdf_ops_session_health",
-                "Session health: 0 ok, 1 degraded, 2 failing",
-                ("session", &s.id.0.to_string()),
-                s.health as u8 as f64,
-            );
-        }
-        for s in &state.report.sessions {
-            expo.gauge_with(
-                "tpdf_ops_session_tokens_per_sec",
-                "Windowed token throughput per session",
-                ("session", &s.id.0.to_string()),
-                s.tokens_per_sec,
-            );
-        }
-        for s in &state.report.sessions {
-            expo.gauge_with(
-                "tpdf_ops_session_deadline_miss_rate",
-                "Windowed deadline misses per completed run",
-                ("session", &s.id.0.to_string()),
-                s.deadline_miss_rate,
-            );
-        }
+        expo.families(OPS_FAMILIES, &*state);
+        expo.labelled(SESSION_FAMILIES, "session", &state.report.sessions, |s| {
+            s.id.0.to_string()
+        });
         doc.push_str(&expo.finish());
         doc
     }
 }
+
+/// The tracer's latency histograms, prefixed `tpdf_trace_`.
+const TRACE_FAMILIES: &[Family<TraceHistograms>] = &[
+    Family::histogram("tpdf_trace_firing_ns", "Firing durations", |h| {
+        h.firing_ns.snapshot()
+    }),
+    Family::histogram(
+        "tpdf_trace_run_latency_ns",
+        "Run latency from queue exit to completion",
+        |h| h.run_latency_ns.snapshot(),
+    ),
+    Family::histogram("tpdf_trace_queue_wait_ns", "Ingress queue wait", |h| {
+        h.queue_wait_ns.snapshot()
+    }),
+];
+
+/// The plane-wide families, prefixed `tpdf_ops_`.
+const OPS_FAMILIES: &[Family<State>] = &[
+    Family::gauge(
+        "tpdf_ops_health",
+        "Service health: 0 ok, 1 degraded, 2 failing",
+        |s| s.report.health as u8 as f64,
+    ),
+    Family::counter(
+        "tpdf_ops_samples_total",
+        "Sampler ticks since the plane started",
+        |s| s.report.samples,
+    ),
+    Family::counter(
+        "tpdf_ops_incidents_total",
+        "Incidents filed since the plane started",
+        |s| s.incidents_total,
+    ),
+];
+
+/// The per-session families, labelled `session="<id>"`.
+const SESSION_FAMILIES: &[Family<SessionHealth>] = &[
+    Family::gauge(
+        "tpdf_ops_session_health",
+        "Session health: 0 ok, 1 degraded, 2 failing",
+        |s| s.health as u8 as f64,
+    ),
+    Family::gauge(
+        "tpdf_ops_session_tokens_per_sec",
+        "Windowed token throughput per session",
+        |s| s.tokens_per_sec,
+    ),
+    Family::gauge(
+        "tpdf_ops_session_deadline_miss_rate",
+        "Windowed deadline misses per completed run",
+        |s| s.deadline_miss_rate,
+    ),
+];

@@ -1,4 +1,4 @@
-//! Text snapshot codec and Prometheus rendering for [`Metrics`].
+//! Text snapshot codec for [`Metrics`].
 //!
 //! The text is what a `TPDC` checkpoint carries as its metrics field
 //! ([`crate::checkpoint`]). It is built on [`tpdf_trace`]'s line-oriented
@@ -15,7 +15,7 @@ use tpdf_core::graph::{ChannelId, NodeId};
 use tpdf_core::mode::Mode;
 use tpdf_manycore::MappingStrategy;
 use tpdf_symexpr::Binding;
-use tpdf_trace::{Exposition, SnapshotError, SnapshotReader, SnapshotWriter};
+use tpdf_trace::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 fn placement_str(placement: &PlacementPolicy) -> &'static str {
     match placement {
@@ -318,79 +318,6 @@ impl Metrics {
     pub fn from_snapshot(text: &str) -> Result<Metrics, SnapshotError> {
         Metrics::read_snapshot(&SnapshotReader::parse(text)?)
     }
-
-    /// Renders the run's aggregates in Prometheus text exposition
-    /// format (counters and gauges prefixed `tpdf_run_`).
-    pub fn to_prometheus(&self) -> String {
-        let mut expo = Exposition::new();
-        expo.counter(
-            "tpdf_run_iterations_total",
-            "Complete graph iterations executed",
-            self.iterations,
-        );
-        expo.gauge(
-            "tpdf_run_effective_workers",
-            "Worker threads the run actually engaged",
-            self.effective_workers as f64,
-        );
-        expo.counter(
-            "tpdf_run_firings_total",
-            "Total node firings",
-            self.firings.iter().sum(),
-        );
-        expo.counter(
-            "tpdf_run_tokens_total",
-            "Tokens pushed onto all channels",
-            self.total_tokens,
-        );
-        expo.gauge(
-            "tpdf_run_tokens_per_second",
-            "Token throughput of the run",
-            self.tokens_per_sec,
-        );
-        expo.counter(
-            "tpdf_run_deadline_misses_total",
-            "Clock-driven Transaction firings that found no input at the deadline",
-            self.deadline_misses,
-        );
-        expo.counter(
-            "tpdf_run_vote_failures_total",
-            "Transaction votes that failed to reach agreement",
-            self.vote_failures,
-        );
-        for (worker, &firings) in self.worker_firings.iter().enumerate() {
-            expo.counter_with(
-                "tpdf_run_worker_firings_total",
-                "Firings completed by each worker",
-                ("worker", &worker.to_string()),
-                firings,
-            );
-        }
-        for (worker, &steals) in self.worker_steals.iter().enumerate() {
-            expo.counter_with(
-                "tpdf_run_worker_steals_total",
-                "Firings acquired across the placement boundary",
-                ("worker", &worker.to_string()),
-                steals,
-            );
-        }
-        expo.counter(
-            "tpdf_run_arena_hits_total",
-            "Firing slabs served from worker freelists without allocating",
-            self.arena_hits,
-        );
-        expo.counter(
-            "tpdf_run_arena_misses_total",
-            "Firing-slab requests that fell back to the global allocator",
-            self.arena_misses,
-        );
-        expo.counter(
-            "tpdf_run_arena_recycled_total",
-            "Firing slabs returned to worker freelists",
-            self.arena_recycled,
-        );
-        expo.finish()
-    }
 }
 
 #[cfg(test)]
@@ -483,14 +410,5 @@ mod tests {
             Metrics::from_snapshot(&text),
             Err(SnapshotError::Malformed(what)) if what.contains("placement")
         ));
-    }
-
-    #[test]
-    fn prometheus_rendering_exposes_totals() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE tpdf_run_firings_total counter"));
-        assert!(text.contains("tpdf_run_firings_total 24"));
-        assert!(text.contains("tpdf_run_worker_firings_total{worker=\"1\"} 10"));
-        assert!(text.ends_with('\n'));
     }
 }

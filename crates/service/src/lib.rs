@@ -72,7 +72,7 @@
 mod metrics;
 mod service;
 
-pub use metrics::{ServiceMetrics, SessionMetrics, SessionPhase};
+pub use metrics::{ServiceMetrics, SessionCounters, SessionMetrics, SessionPhase};
 pub use service::{
     AdmissionPolicy, RequestId, ServiceConfig, ServiceError, SessionCheckpoint, SessionId,
     SessionInspection, SessionStatus, SloSpec, TpdfService,

@@ -1,10 +1,17 @@
 //! Aggregated statistics of a running (or drained) service.
 //!
-//! [`ServiceMetrics::to_prometheus`] renders them in Prometheus text
-//! exposition format.
+//! A session's counters live in one [`SessionCounters`] value: the live
+//! session, its checkpoint and its [`SessionMetrics`] each carry that
+//! value, never loose copies of its fields. The service-wide counters
+//! live in a [`ServiceMetrics`] from the start.
+//! [`ServiceMetrics::to_prometheus`] renders both from two const tables
+//! of [`Family`] rows (one for service-wide families, one for
+//! per-session families labelled by session id): each family is
+//! declared once, in one row.
 
 use crate::service::SessionId;
-use tpdf_trace::Exposition;
+use tpdf_runtime::Metrics;
+use tpdf_trace::{Exposition, Family};
 
 /// Lifecycle phase of a session, as reported by [`SessionMetrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,25 +26,11 @@ pub enum SessionPhase {
     Cancelled,
 }
 
-/// Per-session statistics, aggregated over the session's completed
-/// runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionMetrics {
-    /// The session.
-    pub id: SessionId,
-    /// Lifecycle phase.
-    pub phase: SessionPhase,
-    /// Whether the session has fully retired (no queued or running
-    /// work remains and its admission demand has been released).
-    pub retired: bool,
-    /// Requests currently waiting in the ingress queue.
-    pub queue_depth: usize,
-    /// Whether a run of this session is in flight on the pool.
-    pub running: bool,
-    /// The processor share this session's deadline demands of the pool
-    /// (0 for sessions without a real-time deadline) — what admission
-    /// control charged against the capacity.
-    pub demand: f64,
+/// A session's counters, aggregated over its runs. They survive a
+/// checkpoint and a migration: a restored session resumes counting
+/// from the values it was captured with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionCounters {
     /// Runs that completed successfully.
     pub runs_completed: u64,
     /// Runs that failed (kernel error, stall, panic).
@@ -61,7 +54,17 @@ pub struct SessionMetrics {
     pub arena_misses: u64,
 }
 
-impl SessionMetrics {
+impl SessionCounters {
+    /// Adds one completed run.
+    pub(crate) fn record(&mut self, run: &Metrics) {
+        self.runs_completed += 1;
+        self.firings += run.firings.iter().sum::<u64>();
+        self.tokens += run.total_tokens;
+        self.deadline_misses += run.deadline_misses;
+        self.arena_hits += run.arena_hits;
+        self.arena_misses += run.arena_misses;
+    }
+
     /// Fraction of firing-slab requests served without allocating
     /// (`1.0` when the session saw no slab traffic at all — nothing
     /// allocated is as good as everything recycled).
@@ -75,8 +78,31 @@ impl SessionMetrics {
     }
 }
 
-/// Aggregate statistics of the whole service.
+/// Per-session statistics, aggregated over the session's completed
+/// runs.
 #[derive(Debug, Clone, PartialEq)]
+pub struct SessionMetrics {
+    /// The session.
+    pub id: SessionId,
+    /// Lifecycle phase.
+    pub phase: SessionPhase,
+    /// Whether the session has fully retired (no queued or running
+    /// work remains and its admission demand has been released).
+    pub retired: bool,
+    /// Requests currently waiting in the ingress queue.
+    pub queue_depth: usize,
+    /// Whether a run of this session is in flight on the pool.
+    pub running: bool,
+    /// The processor share this session's deadline demands of the pool
+    /// (0 for sessions without a real-time deadline) — what admission
+    /// control charged against the capacity.
+    pub demand: f64,
+    /// The session's run and request counters.
+    pub counters: SessionCounters,
+}
+
+/// Aggregate statistics of the whole service.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceMetrics {
     /// Sessions admitted since the service started.
     pub sessions_admitted: u64,
@@ -119,6 +145,99 @@ pub struct ServiceMetrics {
     pub per_session: Vec<SessionMetrics>,
 }
 
+/// The service-wide families, prefixed `tpdf_service_`.
+const SERVICE_FAMILIES: &[Family<ServiceMetrics>] = &[
+    Family::counter(
+        "tpdf_service_sessions_admitted_total",
+        "Sessions admitted since the service started",
+        |m| m.sessions_admitted,
+    ),
+    Family::counter(
+        "tpdf_service_sessions_rejected_total",
+        "Sessions refused by admission control",
+        |m| m.sessions_rejected,
+    ),
+    Family::counter(
+        "tpdf_service_requests_submitted_total",
+        "Requests accepted onto ingress queues",
+        |m| m.requests_submitted,
+    ),
+    Family::counter(
+        "tpdf_service_requests_rejected_total",
+        "Requests refused by ingress backpressure",
+        |m| m.requests_rejected,
+    ),
+    Family::counter(
+        "tpdf_service_runs_completed_total",
+        "Runs completed successfully over all sessions",
+        |m| m.runs_completed,
+    ),
+    Family::counter(
+        "tpdf_service_runs_failed_total",
+        "Runs that failed over all sessions",
+        |m| m.runs_failed,
+    ),
+    Family::counter(
+        "tpdf_service_checkpoints_taken_total",
+        "Session checkpoints taken at request barriers",
+        |m| m.checkpoints_taken,
+    ),
+    Family::counter(
+        "tpdf_service_session_restores_total",
+        "Sessions re-admitted from checkpoints",
+        |m| m.restores,
+    ),
+    Family::counter(
+        "tpdf_service_session_migrations_total",
+        "Sessions migrated away to another service",
+        |m| m.migrations,
+    ),
+    Family::gauge(
+        "tpdf_service_active_sessions",
+        "Sessions currently not retired",
+        |m| m.active_sessions as f64,
+    ),
+    Family::gauge(
+        "tpdf_service_queued_requests",
+        "Requests waiting across all ingress queues",
+        |m| m.queued_requests as f64,
+    ),
+    Family::gauge(
+        "tpdf_service_demand",
+        "Admitted deadline demand in processor shares",
+        |m| m.demand,
+    ),
+    Family::gauge(
+        "tpdf_service_capacity",
+        "Admissible processor capacity",
+        |m| m.capacity,
+    ),
+];
+
+/// The per-session families, labelled `session="<id>"`.
+const SESSION_FAMILIES: &[Family<SessionMetrics>] = &[
+    Family::counter(
+        "tpdf_service_session_runs_completed_total",
+        "Runs completed per session",
+        |s| s.counters.runs_completed,
+    ),
+    Family::counter(
+        "tpdf_service_session_firings_total",
+        "Firings per session over its completed runs",
+        |s| s.counters.firings,
+    ),
+    Family::counter(
+        "tpdf_service_session_deadline_misses_total",
+        "Deadline misses per session",
+        |s| s.counters.deadline_misses,
+    ),
+    Family::gauge(
+        "tpdf_service_session_arena_hit_rate",
+        "Fraction of firing-slab requests served without allocating",
+        |s| s.counters.arena_hit_rate(),
+    ),
+];
+
 impl ServiceMetrics {
     /// The metrics of one session, if it exists.
     pub fn session(&self, id: SessionId) -> Option<&SessionMetrics> {
@@ -146,108 +265,10 @@ impl ServiceMetrics {
     /// labelled by session id).
     pub fn to_prometheus(&self) -> String {
         let mut expo = Exposition::new();
-        expo.counter(
-            "tpdf_service_sessions_admitted_total",
-            "Sessions admitted since the service started",
-            self.sessions_admitted,
-        );
-        expo.counter(
-            "tpdf_service_sessions_rejected_total",
-            "Sessions refused by admission control",
-            self.sessions_rejected,
-        );
-        expo.counter(
-            "tpdf_service_requests_submitted_total",
-            "Requests accepted onto ingress queues",
-            self.requests_submitted,
-        );
-        expo.counter(
-            "tpdf_service_requests_rejected_total",
-            "Requests refused by ingress backpressure",
-            self.requests_rejected,
-        );
-        expo.counter(
-            "tpdf_service_runs_completed_total",
-            "Runs completed successfully over all sessions",
-            self.runs_completed,
-        );
-        expo.counter(
-            "tpdf_service_runs_failed_total",
-            "Runs that failed over all sessions",
-            self.runs_failed,
-        );
-        expo.counter(
-            "tpdf_service_checkpoints_taken_total",
-            "Session checkpoints taken at request barriers",
-            self.checkpoints_taken,
-        );
-        expo.counter(
-            "tpdf_service_session_restores_total",
-            "Sessions re-admitted from checkpoints",
-            self.restores,
-        );
-        expo.counter(
-            "tpdf_service_session_migrations_total",
-            "Sessions migrated away to another service",
-            self.migrations,
-        );
-        expo.gauge(
-            "tpdf_service_active_sessions",
-            "Sessions currently not retired",
-            self.active_sessions as f64,
-        );
-        expo.gauge(
-            "tpdf_service_queued_requests",
-            "Requests waiting across all ingress queues",
-            self.queued_requests as f64,
-        );
-        expo.gauge(
-            "tpdf_service_demand",
-            "Admitted deadline demand in processor shares",
-            self.demand,
-        );
-        expo.gauge(
-            "tpdf_service_capacity",
-            "Admissible processor capacity",
-            self.capacity,
-        );
-        // One loop per family, not one family-interleaving loop per
-        // session: the text format requires all samples of a family to
-        // be consecutive under a single header pair ([`Exposition`]
-        // panics on violations, and [`tpdf_trace::expo::lint`] checks
-        // rendered documents).
-        for session in &self.per_session {
-            expo.counter_with(
-                "tpdf_service_session_runs_completed_total",
-                "Runs completed per session",
-                ("session", &session.id.0.to_string()),
-                session.runs_completed,
-            );
-        }
-        for session in &self.per_session {
-            expo.counter_with(
-                "tpdf_service_session_firings_total",
-                "Firings per session over its completed runs",
-                ("session", &session.id.0.to_string()),
-                session.firings,
-            );
-        }
-        for session in &self.per_session {
-            expo.counter_with(
-                "tpdf_service_session_deadline_misses_total",
-                "Deadline misses per session",
-                ("session", &session.id.0.to_string()),
-                session.deadline_misses,
-            );
-        }
-        for session in &self.per_session {
-            expo.gauge_with(
-                "tpdf_service_session_arena_hit_rate",
-                "Fraction of firing-slab requests served without allocating",
-                ("session", &session.id.0.to_string()),
-                session.arena_hit_rate(),
-            );
-        }
+        expo.families(SERVICE_FAMILIES, self);
+        expo.labelled(SESSION_FAMILIES, "session", &self.per_session, |s| {
+            s.id.0.to_string()
+        });
         expo.finish()
     }
 }
@@ -279,15 +300,17 @@ mod tests {
                     queue_depth: 1,
                     running: true,
                     demand: 0.75,
-                    runs_completed: 4,
-                    runs_failed: 0,
-                    runs_cancelled: 0,
-                    requests_rejected: 2,
-                    firings: 320,
-                    tokens: 1280,
-                    deadline_misses: 1,
-                    arena_hits: 96,
-                    arena_misses: 4,
+                    counters: SessionCounters {
+                        runs_completed: 4,
+                        runs_failed: 0,
+                        runs_cancelled: 0,
+                        requests_rejected: 2,
+                        firings: 320,
+                        tokens: 1280,
+                        deadline_misses: 1,
+                        arena_hits: 96,
+                        arena_misses: 4,
+                    },
                 },
                 SessionMetrics {
                     id: SessionId(2),
@@ -296,15 +319,17 @@ mod tests {
                     queue_depth: 0,
                     running: false,
                     demand: 0.0,
-                    runs_completed: 3,
-                    runs_failed: 1,
-                    runs_cancelled: 2,
-                    requests_rejected: 0,
-                    firings: 96,
-                    tokens: 384,
-                    deadline_misses: 0,
-                    arena_hits: 0,
-                    arena_misses: 0,
+                    counters: SessionCounters {
+                        runs_completed: 3,
+                        runs_failed: 1,
+                        runs_cancelled: 2,
+                        requests_rejected: 0,
+                        firings: 96,
+                        tokens: 384,
+                        deadline_misses: 0,
+                        arena_hits: 0,
+                        arena_misses: 0,
+                    },
                 },
             ],
         }

@@ -1,6 +1,6 @@
 //! The session manager: admission, ingress queues, dispatch, lifecycle.
 
-use crate::metrics::{ServiceMetrics, SessionMetrics, SessionPhase};
+use crate::metrics::{ServiceMetrics, SessionCounters, SessionMetrics, SessionPhase};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
@@ -335,15 +335,7 @@ struct SessionEntry {
     next_request: u64,
     phase: SessionPhase,
     retired: bool,
-    requests_rejected: u64,
-    runs_completed: u64,
-    runs_failed: u64,
-    runs_cancelled: u64,
-    firings: u64,
-    tokens: u64,
-    deadline_misses: u64,
-    arena_hits: u64,
-    arena_misses: u64,
+    counters: SessionCounters,
     /// The SLO attached at admission, reported verbatim through
     /// [`TpdfService::inspect_sessions`] (the service itself never
     /// evaluates it).
@@ -362,17 +354,12 @@ impl SessionEntry {
     fn record_result(&mut self, request: u64, result: Result<Metrics, RuntimeError>) -> (u64, u64) {
         match result {
             Ok(metrics) => {
-                self.runs_completed += 1;
-                self.firings += metrics.firings.iter().sum::<u64>();
-                self.tokens += metrics.total_tokens;
-                self.deadline_misses += metrics.deadline_misses;
-                self.arena_hits += metrics.arena_hits;
-                self.arena_misses += metrics.arena_misses;
+                self.counters.record(&metrics);
                 self.results.insert(request, Ok(metrics));
                 (1, 0)
             }
             Err(error) => {
-                self.runs_failed += 1;
+                self.counters.runs_failed += 1;
                 self.results.insert(request, Err(error.into()));
                 (0, 1)
             }
@@ -398,15 +385,10 @@ struct Inner {
     /// Σ demand of the non-retired sessions.
     demand: f64,
     draining: bool,
-    sessions_admitted: u64,
-    sessions_rejected: u64,
-    requests_submitted: u64,
-    requests_rejected: u64,
-    runs_completed: u64,
-    runs_failed: u64,
-    checkpoints_taken: u64,
-    restores: u64,
-    migrations: u64,
+    /// The service-wide counters, kept in the report's own shape (its
+    /// gauges and session table stay empty here: `snapshot` fills them
+    /// in).
+    totals: ServiceMetrics,
 }
 
 struct Shared {
@@ -474,15 +456,7 @@ pub struct SessionCheckpoint {
     compiled: CompiledExecutor,
     registry: KernelRegistry,
     next_request: u64,
-    requests_rejected: u64,
-    runs_completed: u64,
-    runs_failed: u64,
-    runs_cancelled: u64,
-    firings: u64,
-    tokens: u64,
-    deadline_misses: u64,
-    arena_hits: u64,
-    arena_misses: u64,
+    counters: SessionCounters,
     slo: Option<SloSpec>,
 }
 
@@ -494,20 +468,20 @@ impl SessionCheckpoint {
 
     /// Runs the session completed before the checkpoint.
     pub fn runs_completed(&self) -> u64 {
-        self.runs_completed
+        self.counters.runs_completed
     }
 
     /// Total firings across the session's completed runs.
     pub fn firings(&self) -> u64 {
-        self.firings
+        self.counters.firings
     }
 }
 
 impl fmt::Debug for SessionCheckpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionCheckpoint")
-            .field("runs_completed", &self.runs_completed)
-            .field("firings", &self.firings)
+            .field("runs_completed", &self.counters.runs_completed)
+            .field("firings", &self.counters.firings)
             .field("demand", &self.demand())
             .finish_non_exhaustive()
     }
@@ -679,7 +653,7 @@ impl TpdfService {
             }
             match self.shared.config.admission {
                 AdmissionPolicy::Reject => {
-                    inner.sessions_rejected += 1;
+                    inner.totals.sessions_rejected += 1;
                     if let Some(tracer) = self.shared.trace() {
                         let limit = self.shared.config.max_sessions as u64;
                         tracer.control_event(EventKind::SessionReject, tag, 0, 0, limit);
@@ -694,7 +668,7 @@ impl TpdfService {
             }
         }
         if inner.demand + demand > capacity + 1e-9 {
-            inner.sessions_rejected += 1;
+            inner.totals.sessions_rejected += 1;
             if let Some(tracer) = self.shared.trace() {
                 tracer.control_event(EventKind::SessionReject, tag, 1, 0, demand as u64);
             }
@@ -705,9 +679,9 @@ impl TpdfService {
             });
         }
         inner.demand += demand;
-        inner.sessions_admitted += 1;
+        inner.totals.sessions_admitted += 1;
         if restored.is_some() {
-            inner.restores += 1;
+            inner.totals.restores += 1;
         }
         let id = inner.next_session;
         inner.next_session += 1;
@@ -724,15 +698,7 @@ impl TpdfService {
                 next_request: restored.map_or(0, |c| c.next_request),
                 phase: SessionPhase::Open,
                 retired: false,
-                requests_rejected: restored.map_or(0, |c| c.requests_rejected),
-                runs_completed: restored.map_or(0, |c| c.runs_completed),
-                runs_failed: restored.map_or(0, |c| c.runs_failed),
-                runs_cancelled: restored.map_or(0, |c| c.runs_cancelled),
-                firings: restored.map_or(0, |c| c.firings),
-                tokens: restored.map_or(0, |c| c.tokens),
-                deadline_misses: restored.map_or(0, |c| c.deadline_misses),
-                arena_hits: restored.map_or(0, |c| c.arena_hits),
-                arena_misses: restored.map_or(0, |c| c.arena_misses),
+                counters: restored.map_or_else(SessionCounters::default, |c| c.counters),
                 slo,
             },
         );
@@ -781,7 +747,7 @@ impl TpdfService {
                 announced = true;
                 if let Some(tracer) = self.shared.trace() {
                     let tag = entry.compiled.config().trace_tag;
-                    let runs = entry.runs_completed;
+                    let runs = entry.counters.runs_completed;
                     tracer.control_event(EventKind::CheckpointBegin, tag, session.0, 0, runs);
                 }
             }
@@ -799,20 +765,12 @@ impl TpdfService {
             compiled: entry.compiled.clone(),
             registry: entry.registry.clone(),
             next_request: entry.next_request,
-            requests_rejected: entry.requests_rejected,
-            runs_completed: entry.runs_completed,
-            runs_failed: entry.runs_failed,
-            runs_cancelled: entry.runs_cancelled,
-            firings: entry.firings,
-            tokens: entry.tokens,
-            deadline_misses: entry.deadline_misses,
-            arena_hits: entry.arena_hits,
-            arena_misses: entry.arena_misses,
+            counters: entry.counters,
             slo: entry.slo.clone(),
         };
-        inner.checkpoints_taken += 1;
+        inner.totals.checkpoints_taken += 1;
         if let Some(tracer) = self.shared.trace() {
-            let runs = checkpoint.runs_completed;
+            let runs = checkpoint.counters.runs_completed;
             tracer.control_event(EventKind::CheckpointEnd, tag, session.0, 0, runs);
         }
         Ok(checkpoint)
@@ -867,7 +825,7 @@ impl TpdfService {
         let checkpoint = self.checkpoint_session(session)?;
         let target = to.restore_session(&checkpoint)?;
         let mut inner = self.shared.inner.lock().expect("service lock");
-        inner.migrations += 1;
+        inner.totals.migrations += 1;
         if let Some(entry) = inner.sessions.get_mut(&session.0) {
             if entry.phase == SessionPhase::Open {
                 entry.phase = SessionPhase::Closed;
@@ -879,7 +837,7 @@ impl TpdfService {
                     tag,
                     session.0,
                     target.0,
-                    checkpoint.runs_completed,
+                    checkpoint.counters.runs_completed,
                 );
             }
         }
@@ -930,8 +888,8 @@ impl TpdfService {
                         .sessions
                         .get_mut(&session.0)
                         .expect("session existence just checked");
-                    entry.requests_rejected += 1;
-                    inner.requests_rejected += 1;
+                    entry.counters.requests_rejected += 1;
+                    inner.totals.requests_rejected += 1;
                     return Err(ServiceError::Backpressure {
                         capacity: self.shared.config.queue_capacity,
                     });
@@ -949,7 +907,7 @@ impl TpdfService {
         entry.next_request += 1;
         entry.queue.push_back((request, Instant::now()));
         let tag = entry.compiled.config().trace_tag;
-        inner.requests_submitted += 1;
+        inner.totals.requests_submitted += 1;
         if let Some(tracer) = self.shared.trace() {
             tracer.control_event(EventKind::RequestSubmit, tag, session.0, request, 0);
         }
@@ -1106,7 +1064,7 @@ impl TpdfService {
             entry.phase = SessionPhase::Cancelled;
             let tag = entry.compiled.config().trace_tag;
             let dropped: Vec<u64> = entry.queue.drain(..).map(|(r, _)| r).collect();
-            entry.runs_cancelled += dropped.len() as u64;
+            entry.counters.runs_cancelled += dropped.len() as u64;
             for request in dropped {
                 entry
                     .results
@@ -1196,29 +1154,12 @@ impl TpdfService {
             queue_depth: s.queue.len(),
             running: s.inflight.is_some(),
             demand: s.demand,
-            runs_completed: s.runs_completed,
-            runs_failed: s.runs_failed,
-            runs_cancelled: s.runs_cancelled,
-            requests_rejected: s.requests_rejected,
-            firings: s.firings,
-            tokens: s.tokens,
-            deadline_misses: s.deadline_misses,
-            arena_hits: s.arena_hits,
-            arena_misses: s.arena_misses,
+            counters: s.counters,
         }
     }
 
     fn snapshot(inner: &Inner, config: &ServiceConfig) -> ServiceMetrics {
         ServiceMetrics {
-            sessions_admitted: inner.sessions_admitted,
-            sessions_rejected: inner.sessions_rejected,
-            requests_submitted: inner.requests_submitted,
-            requests_rejected: inner.requests_rejected,
-            runs_completed: inner.runs_completed,
-            runs_failed: inner.runs_failed,
-            checkpoints_taken: inner.checkpoints_taken,
-            restores: inner.restores,
-            migrations: inner.migrations,
             active_sessions: inner.sessions.values().filter(|s| !s.retired).count(),
             queued_requests: inner.sessions.values().map(|s| s.queue.len()).sum(),
             demand: inner.demand,
@@ -1228,6 +1169,7 @@ impl TpdfService {
                 .iter()
                 .map(|(&id, s)| Self::session_metrics(id, s))
                 .collect(),
+            ..inner.totals.clone()
         }
     }
 }
@@ -1436,7 +1378,7 @@ impl Shared {
         let (completed, failed) = if entry.phase == SessionPhase::Cancelled
             && matches!(result, Err(RuntimeError::Cancelled))
         {
-            entry.runs_cancelled += 1;
+            entry.counters.runs_cancelled += 1;
             entry
                 .results
                 .insert(request, Err(RuntimeError::Cancelled.into()));
@@ -1444,8 +1386,8 @@ impl Shared {
         } else {
             entry.record_result(request, result)
         };
-        inner.runs_completed += completed;
-        inner.runs_failed += failed;
+        inner.totals.runs_completed += completed;
+        inner.totals.runs_failed += failed;
         let pending = inner.begin_dispatch(session);
         Inner::maybe_retire(inner, session);
         pending
@@ -1526,7 +1468,7 @@ mod tests {
         assert_eq!(service.poll(session).unwrap(), SessionStatus::Idle);
         let report = service.metrics();
         assert_eq!(report.runs_completed, 2);
-        let per = report.session(session).unwrap();
+        let per = report.session(session).unwrap().counters;
         assert_eq!(per.runs_completed, 2);
         assert_eq!(
             per.firings,
@@ -1748,6 +1690,7 @@ mod tests {
                 .metrics()
                 .session(session)
                 .expect("unread results pin the session")
+                .counters
                 .runs_cancelled;
             if cancelled == 2 {
                 break;
@@ -1885,7 +1828,7 @@ mod tests {
         assert_eq!(t.restores, 1);
         assert_eq!(t.migrations, 0);
         assert_eq!(
-            t.session(moved).unwrap().runs_completed,
+            t.session(moved).unwrap().counters.runs_completed,
             2,
             "aggregates carry: one run before the move, one after"
         );

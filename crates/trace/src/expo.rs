@@ -60,6 +60,59 @@ fn check_label_name(name: &str) {
     );
 }
 
+/// How a [`Family`] reads its sample out of a source value.
+enum Sample<T> {
+    /// A monotone counter.
+    Counter(fn(&T) -> u64),
+    /// A gauge.
+    Gauge(fn(&T) -> f64),
+    /// A log2 histogram (unlabeled only).
+    Histogram(fn(&T) -> HistogramSnapshot),
+}
+
+/// One declared metric family: its name, its help string and how to
+/// read its sample from a `T`. A const table of these is the single
+/// declaration of a layer's exposition; [`Exposition::families`] and
+/// [`Exposition::labelled`] render it, one family at a time.
+pub struct Family<T> {
+    name: &'static str,
+    help: &'static str,
+    sample: Sample<T>,
+}
+
+impl<T> Family<T> {
+    /// A counter family.
+    pub const fn counter(name: &'static str, help: &'static str, read: fn(&T) -> u64) -> Self {
+        Family {
+            name,
+            help,
+            sample: Sample::Counter(read),
+        }
+    }
+
+    /// A gauge family.
+    pub const fn gauge(name: &'static str, help: &'static str, read: fn(&T) -> f64) -> Self {
+        Family {
+            name,
+            help,
+            sample: Sample::Gauge(read),
+        }
+    }
+
+    /// A histogram family (unlabeled only).
+    pub const fn histogram(
+        name: &'static str,
+        help: &'static str,
+        read: fn(&T) -> HistogramSnapshot,
+    ) -> Self {
+        Family {
+            name,
+            help,
+            sample: Sample::Histogram(read),
+        }
+    }
+}
+
 /// Builds a Prometheus text-format document.
 #[derive(Debug, Default)]
 pub struct Exposition {
@@ -151,6 +204,50 @@ impl Exposition {
         let _ = writeln!(self.out, "{name}_bucket{{le=\"+Inf\"}} {}", snapshot.count);
         let _ = writeln!(self.out, "{name}_sum {}", snapshot.sum);
         let _ = writeln!(self.out, "{name}_count {}", snapshot.count);
+    }
+
+    /// Adds one unlabeled sample per family of `table`, read from
+    /// `source`.
+    pub fn families<T>(&mut self, table: &[Family<T>], source: &T) {
+        for family in table {
+            let (name, help) = (family.name, family.help);
+            match family.sample {
+                Sample::Counter(read) => self.counter(name, help, read(source)),
+                Sample::Gauge(read) => self.gauge(name, help, read(source)),
+                Sample::Histogram(read) => self.histogram(name, help, &read(source)),
+            }
+        }
+    }
+
+    /// Adds every family of `table` with one sample per entry, labelled
+    /// `label="key(entry)"`. The loop runs family by family, so each
+    /// family's samples are consecutive by construction.
+    ///
+    /// # Panics
+    ///
+    /// On a histogram family: histograms are rendered unlabeled only.
+    pub fn labelled<T>(
+        &mut self,
+        table: &[Family<T>],
+        label: &str,
+        entries: &[T],
+        key: impl Fn(&T) -> String,
+    ) {
+        for family in table {
+            let (name, help) = (family.name, family.help);
+            for entry in entries {
+                let value = key(entry);
+                match family.sample {
+                    Sample::Counter(read) => {
+                        self.counter_with(name, help, (label, &value), read(entry))
+                    }
+                    Sample::Gauge(read) => {
+                        self.gauge_with(name, help, (label, &value), read(entry))
+                    }
+                    Sample::Histogram(_) => panic!("labelled histogram family {name:?}"),
+                }
+            }
+        }
     }
 
     /// Finishes the document.
@@ -615,5 +712,60 @@ mod tests {
     #[should_panic(expected = "invalid Prometheus label name")]
     fn invalid_label_names_are_rejected_loudly() {
         Exposition::new().counter_with("tpdf_ok", "Bad label.", ("se ssion", "v"), 1);
+    }
+
+    struct Row {
+        id: u32,
+        runs: u64,
+        load: f64,
+    }
+
+    const ROWS: &[Family<Row>] = &[
+        Family::counter("tpdf_row_runs_total", "Runs per row", |r| r.runs),
+        Family::gauge("tpdf_row_load", "Load per row", |r| r.load),
+    ];
+
+    #[test]
+    fn family_tables_render_one_family_at_a_time() {
+        let rows = [
+            Row {
+                id: 0,
+                runs: 3,
+                load: 0.5,
+            },
+            Row {
+                id: 7,
+                runs: 4,
+                load: 1.0,
+            },
+        ];
+        let mut e = Exposition::new();
+        e.families(ROWS, &rows[0]);
+        e.labelled(ROWS, "row", &[], |r: &Row| r.id.to_string());
+        let text = e.finish();
+        assert!(text.contains("tpdf_row_runs_total 3\n"));
+        assert!(text.contains("# TYPE tpdf_row_load gauge\ntpdf_row_load 0.5\n"));
+
+        let mut e = Exposition::new();
+        e.labelled(ROWS, "row", &rows, |r| r.id.to_string());
+        let text = e.finish();
+        let expected = "# HELP tpdf_row_runs_total Runs per row\n\
+                        # TYPE tpdf_row_runs_total counter\n\
+                        tpdf_row_runs_total{row=\"0\"} 3\n\
+                        tpdf_row_runs_total{row=\"7\"} 4\n\
+                        # HELP tpdf_row_load Load per row\n\
+                        # TYPE tpdf_row_load gauge\n\
+                        tpdf_row_load{row=\"0\"} 0.5\n\
+                        tpdf_row_load{row=\"7\"} 1\n";
+        assert_eq!(text, expected);
+        lint(&text).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "labelled histogram family")]
+    fn labelled_histograms_are_refused() {
+        let table: &[Family<Log2Histogram>] =
+            &[Family::histogram("tpdf_h_ns", "H", |h| h.snapshot())];
+        Exposition::new().labelled(table, "k", &[Log2Histogram::new()], |_| "0".into());
     }
 }

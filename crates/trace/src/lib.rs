@@ -56,7 +56,7 @@ pub mod snap;
 pub mod tracer;
 
 pub use event::{EventKind, TraceEvent};
-pub use expo::{lint as lint_prometheus, Exposition};
+pub use expo::{lint as lint_prometheus, Exposition, Family};
 pub use hist::{HistogramSnapshot, Log2Histogram};
 pub use log::{ChromeLabels, PhaseSummary, TraceLog};
 pub use ring::EventRing;

@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = service.drain();
     println!("\n{}", report.summary());
     for (name, session) in &sessions {
-        let per = report.session(*session).expect("session metrics");
+        let per = report.session(*session).expect("session metrics").counters;
         println!(
             "  {name:<12} {} runs, {} firings, {} tokens, {} deadline misses",
             per.runs_completed, per.firings, per.tokens, per.deadline_misses

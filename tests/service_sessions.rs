@@ -352,7 +352,7 @@ fn concurrent_sessions_match_solo_runs_without_poisoning() {
         let report = service.metrics();
         let per = report.session(*sessions.last().unwrap()).unwrap();
         assert_eq!(
-            per.firings,
+            per.counters.firings,
             RUNS_PER_SESSION * reference.firings.iter().sum::<u64>(),
             "rebinding session firings must match the reference per run"
         );
