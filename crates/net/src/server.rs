@@ -19,7 +19,11 @@
 //! [`tpdf_service::TpdfService::add_waker`]) on every run completion,
 //! dispatch, close and cancel, which writes one byte to that socket —
 //! so a `Barrier` is read as soon as it arrives and a finished run's
-//! `Result` is sent as soon as the run ends, not on a timer. While
+//! `Result` is sent as soon as the run ends, not on a timer. The waker
+//! does nothing when the loop thread itself made the change (its own
+//! `submit`, `close` or `cancel`, and a run those complete inline):
+//! the sweep that made it already counts as progress, so another
+//! sweep follows without waiting. While
 //! anything is in flight (a pending or parked barrier, unsent output,
 //! a paused or closing connection) the wait is capped at
 //! [`NetConfig::poll_interval`], so a missed wake costs at most one
@@ -66,11 +70,16 @@
 //! A client that disconnects mid-run is cancelled through
 //! [`tpdf_service::TpdfService::cancel`] — the engine halts the
 //! in-flight run at its next scheduling point. Idle and
-//! write-stalled connections are evicted on a timeout.
+//! write-stalled connections are evicted on a timeout. A panic while
+//! one connection's frame is handled (say, in a [`NetApp::build`]) is
+//! caught: that connection closes with a protocol error, its session
+//! (if one was opened) is cancelled, and the loop serves the others on.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -96,6 +105,13 @@ const LOADED_SWEEP: Duration = Duration::from_micros(300);
 /// with a protocol error — it is flooding records while ignoring
 /// `Backoff`, and nothing else bounds that memory.
 pub const FEED_HARD_CAP_RUNS: u64 = 64;
+
+thread_local! {
+    /// On a loop thread, the address of that loop's wake channel (see
+    /// the module docs): a service notification for a change the loop
+    /// made itself needs no wake. Other servers' loops still get theirs.
+    static LOOP_WAKE: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Tuning knobs of the ingestion loop.
 #[derive(Debug, Clone)]
@@ -272,7 +288,11 @@ impl NetServer {
         let tracer = service.config().tracer.clone();
         let waiter = Waiter::new()?;
         let wake = waiter.wake();
-        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || wake.wake());
+        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+            if LOOP_WAKE.get() != Arc::as_ptr(&wake) as usize {
+                wake.wake();
+            }
+        });
         service.add_waker(&waker);
         let mut rt = Loop {
             listener,
@@ -395,6 +415,7 @@ struct Loop {
 
 impl Loop {
     fn run(&mut self) {
+        LOOP_WAKE.set(Arc::as_ptr(&self.waiter.wake()) as usize);
         while !self.stop.load(Relaxed) {
             let mut progress = false;
             progress |= self.accept();
@@ -674,7 +695,13 @@ impl Loop {
                         frame.type_byte() as u64,
                         len,
                     );
-                    self.handle_frame(i, frame);
+                    // App code runs here (`NetApp::build`): its panic
+                    // costs this connection, not the loop thread.
+                    let handled = catch_unwind(AssertUnwindSafe(|| self.handle_frame(i, frame)));
+                    if handled.is_err() {
+                        self.protocol_error(i, "panic while handling a frame");
+                        break;
+                    }
                 }
                 Ok(None) => break,
                 Err(e) => {

@@ -63,15 +63,25 @@ pub enum CheckpointError {
         /// Fingerprint recorded in the checkpoint.
         found: u64,
     },
-    /// The checkpoint's shape disagrees with the executor (channel or
-    /// node count) — it was captured on a different compilation.
+    /// The checkpoint's shape disagrees with the executor (a channel,
+    /// node or per-node/per-channel metrics count) — it was captured on
+    /// a different compilation.
     ShapeMismatch {
-        /// What disagreed ("channels", "nodes", …).
+        /// What disagreed ("channels", "nodes", "metrics.firings
+        /// entries", …).
         what: &'static str,
         /// Count the executor expects.
         expected: u64,
         /// Count the checkpoint carries.
         found: u64,
+    },
+    /// A checkpointed channel holds data where the executor's graph has
+    /// a control channel, or the reverse.
+    ChannelKindMismatch {
+        /// The channel's index.
+        channel: usize,
+        /// The channel's label in the executor's graph.
+        label: String,
     },
     /// The checkpoint's iteration index is not below the configured
     /// iteration count — there is nothing left to resume.
@@ -99,6 +109,10 @@ impl fmt::Display for CheckpointError {
             } => write!(
                 f,
                 "checkpoint shape mismatch: {found} {what}, this executor has {expected}"
+            ),
+            CheckpointError::ChannelKindMismatch { channel, label } => write!(
+                f,
+                "checkpoint channel {channel} ({label}) kind disagrees with the graph"
             ),
             CheckpointError::NothingToResume {
                 iteration,
@@ -591,5 +605,55 @@ mod tests {
             Checkpoint::decode(&bytes),
             Err(CheckpointError::Decode(DecodeError::UnknownField(200)))
         );
+    }
+
+    /// A checkpoint whose bytes decode fine but whose counts or channel
+    /// kinds do not fit the executor is a restore-side error, never
+    /// `Decode`: that variant means only "the bytes did not decode".
+    #[test]
+    fn restore_disagreements_are_not_decode_errors() {
+        use crate::executor::Executor;
+        use crate::{KernelRegistry, RuntimeConfig, RuntimeError};
+        use tpdf_core::examples::figure2_graph;
+        use tpdf_symexpr::Binding;
+
+        let graph = figure2_graph();
+        let config = RuntimeConfig::new(Binding::from_pairs([("p", 2)])).with_threads(1);
+        let registry = KernelRegistry::new();
+        let (_, cut) = Executor::new(&graph, config.clone().with_iterations(2))
+            .unwrap()
+            .run_checkpointed(&registry)
+            .unwrap();
+        let cut = Checkpoint::decode(&cut.encode()).unwrap();
+        let resume = Executor::new(&graph, config.with_iterations(4)).unwrap();
+        let restore = |checkpoint: &Checkpoint| match resume.run_restored(&registry, checkpoint) {
+            Err(RuntimeError::Checkpoint(error)) => error,
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        };
+
+        let nodes = cut.metrics.firings.len() as u64;
+        let mut short = cut.clone();
+        short.metrics.firings.pop();
+        assert_eq!(
+            restore(&short),
+            CheckpointError::ShapeMismatch {
+                what: "metrics.firings entries",
+                expected: nodes,
+                found: nodes - 1,
+            }
+        );
+
+        let mut flipped = cut.clone();
+        let (channel, slot) = flipped
+            .channels
+            .iter_mut()
+            .enumerate()
+            .find(|(_, c)| matches!(c.contents, ChannelContents::Data(_)))
+            .expect("figure 2 has data channels");
+        slot.contents = ChannelContents::Control(Vec::new());
+        assert!(matches!(
+            restore(&flipped),
+            CheckpointError::ChannelKindMismatch { channel: c, .. } if c == channel
+        ));
     }
 }

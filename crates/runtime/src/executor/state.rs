@@ -5,7 +5,6 @@
 use super::Engine;
 use crate::arena::ArenaStats;
 use crate::checkpoint::{ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError};
-use crate::codec::DecodeError;
 use crate::metrics::{DeadlineSelection, Metrics, RebindEvent};
 use crate::ring::RingBuffer;
 use crate::token::Token;
@@ -228,10 +227,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::GraphMismatch`] / `ShapeMismatch` when the
-    /// checkpoint belongs to a different graph or compilation;
-    /// [`CheckpointError::NothingToResume`] when the configured
-    /// iteration count is not beyond the checkpoint.
+    /// [`CheckpointError::GraphMismatch`] / `ShapeMismatch` /
+    /// `ChannelKindMismatch` when the checkpoint belongs to a different
+    /// graph or compilation; [`CheckpointError::NothingToResume`] when
+    /// the configured iteration count is not beyond the checkpoint.
     pub(crate) fn restore_state(
         &self,
         checkpoint: &Checkpoint,
@@ -258,31 +257,31 @@ impl Engine {
                 found: checkpoint.control_firings.len() as u64,
             });
         }
-        for (metric, len) in [
-            ("metrics.firings", checkpoint.metrics.firings.len()),
+        let metrics = &checkpoint.metrics;
+        for (what, expected, found) in [
             (
-                "metrics.mode_sequences",
-                checkpoint.metrics.mode_sequences.len(),
+                "metrics.firings entries",
+                self.nodes.len(),
+                metrics.firings.len(),
+            ),
+            (
+                "metrics.mode_sequences entries",
+                self.nodes.len(),
+                metrics.mode_sequences.len(),
+            ),
+            (
+                "metrics.tokens_pushed entries",
+                self.chans.len(),
+                metrics.tokens_pushed.len(),
             ),
         ] {
-            if len != self.nodes.len() {
-                return Err(DecodeError::Malformed {
-                    field: "metrics",
-                    detail: format!("{metric} has {len} entries for {} nodes", self.nodes.len()),
-                }
-                .into());
+            if found != expected {
+                return Err(CheckpointError::ShapeMismatch {
+                    what,
+                    expected: expected as u64,
+                    found: found as u64,
+                });
             }
-        }
-        if checkpoint.metrics.tokens_pushed.len() != self.chans.len() {
-            return Err(DecodeError::Malformed {
-                field: "metrics",
-                detail: format!(
-                    "metrics.tokens_pushed has {} entries for {} channels",
-                    checkpoint.metrics.tokens_pushed.len(),
-                    self.chans.len()
-                ),
-            }
-            .into());
         }
         if checkpoint.iteration >= self.config.iterations {
             return Err(CheckpointError::NothingToResume {
@@ -322,14 +321,10 @@ impl Engine {
                     ChannelRing::Control(ring)
                 }
                 _ => {
-                    return Err(DecodeError::Malformed {
-                        field: "channels",
-                        detail: format!(
-                            "channel {i} ({}) kind disagrees with the graph",
-                            info.label
-                        ),
-                    }
-                    .into())
+                    return Err(CheckpointError::ChannelKindMismatch {
+                        channel: i,
+                        label: info.label.to_string(),
+                    })
                 }
             };
             rings.push(ring);

@@ -5,21 +5,24 @@
 //! observable (a pipelining client provably stalls on `Backoff`
 //! instead of losing records); wire garbage must close the connection
 //! with a counted protocol error, never a panic; a mid-run disconnect
-//! must cancel the session; idle clients must be evicted; the loop
+//! must cancel the session; a panicking app must cost only its own
+//! connection; idle clients must be evicted; the loop
 //! must be woken by sockets and run completions, not by its timer; and
 //! the committed v1 frames must decode and re-encode unchanged. (That
 //! the server leaks no OS thread is asserted in
 //! `tests/thread_leaks.rs`, which owns its process.)
 
 use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tpdf_suite::apps::ofdm::OfdmConfig;
 use tpdf_suite::net::frame::write_frame;
 use tpdf_suite::net::ofdm::{run_records, wire_fed_ofdm};
-use tpdf_suite::net::{Frame, FrameReader, NetApps, NetClient, NetConfig, NetServer};
+use tpdf_suite::net::{Frame, FrameReader, NetApps, NetClient, NetConfig, NetFeed, NetServer};
+use tpdf_suite::ops::{OpsConfig, OpsPlane};
 use tpdf_suite::runtime::{Executor, Token};
 use tpdf_suite::service::{ServiceConfig, TpdfService};
 
@@ -259,6 +262,121 @@ fn wire_garbage_is_a_structured_close_not_a_panic() {
     assert!(!tokens.is_empty());
     client.bye().expect("bye");
     server.shutdown();
+}
+
+/// Status code of one admin-surface `GET`, read with a timeout.
+fn http_status(addr: SocketAddr, path: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect admin surface");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").expect("request");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|status| status.parse().ok())
+        .unwrap_or_else(|| panic!("malformed status line in {raw:?}"))
+}
+
+/// A panic in one app's `build` (application code, run on the loop
+/// thread at `Hello`) costs that connection only: three clients
+/// streaming through it get the solo run's output, the panic counts as
+/// one protocol error, a client that connects afterwards is served and
+/// `/healthz` still answers 200. Every client reads with a timeout, so
+/// a dead loop fails the test instead of hanging it.
+#[test]
+fn a_panicking_app_build_costs_only_its_own_connection() {
+    let variants = ofdm_variants();
+    let mut apps = NetApps::new();
+    let mut plans = Vec::new();
+    for (name, config, seed) in variants.iter().take(3) {
+        let (app, port) = wire_fed_ofdm(*config, *seed, 2);
+        let (solo_registry, solo_capture) = port.registry();
+        let solo = Executor::new(&app.graph, app.config.clone()).expect("solo executor");
+        for _ in 0..RUNS {
+            solo.run(&solo_registry).expect("solo run");
+        }
+        plans.push((*name, run_records(&port), solo_capture.take_tokens()));
+        apps.register(name, app);
+    }
+    let (mut broken, _) = wire_fed_ofdm(variants[0].1, variants[0].2, 2);
+    broken.build = Arc::new(|_: &NetFeed| panic!("this app's build panics"));
+    apps.register("broken", broken);
+    let (late_name, late_records, late_solo) = plans[0].clone();
+
+    let service = Arc::new(TpdfService::new(
+        ServiceConfig::default()
+            .with_threads(2)
+            .with_max_sessions(8),
+    ));
+    let plane = OpsPlane::start(
+        Arc::clone(&service),
+        OpsConfig::default().with_http_addr("127.0.0.1:0"),
+    )
+    .expect("start ops plane");
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        apps,
+        NetConfig::default(),
+    )
+    .expect("bind loopback");
+    plane.attach_net(server.metrics_handle());
+    let addr = server.local_addr();
+
+    // Each bystander finishes one run, meets the main thread at
+    // `midway`, and streams the rest while the panic happens.
+    let midway = Arc::new(Barrier::new(plans.len() + 1));
+    let handles: Vec<_> = plans
+        .into_iter()
+        .map(|(name, records, solo)| {
+            let midway = Arc::clone(&midway);
+            std::thread::spawn(move || {
+                let mut client = NetClient::connect(addr).expect("connect");
+                client.hello(name).expect("hello");
+                let mut received = Vec::new();
+                for seq in 0..RUNS {
+                    if seq == 1 {
+                        midway.wait();
+                    }
+                    client.records(&records).expect("records");
+                    client.barrier(seq).expect("barrier");
+                    let (_seq, tokens) = client
+                        .result()
+                        .unwrap_or_else(|e| panic!("{name}: run {seq}: {e}"));
+                    received.extend(tokens);
+                }
+                client.bye().expect("bye");
+                assert_eq!(received, solo, "{name}: output diverges from the solo run");
+            })
+        })
+        .collect();
+    midway.wait();
+    let mut victim = NetClient::connect(addr).expect("connect victim");
+    assert!(
+        victim.hello("broken").is_err(),
+        "a Hello whose build panics must close the connection"
+    );
+    for handle in handles {
+        handle.join().expect("bystander client");
+    }
+    assert_eq!(server.metrics().protocol_errors, 1);
+
+    let mut late = NetClient::connect(addr).expect("connect after the panic");
+    late.hello(late_name).expect("hello after the panic");
+    late.records(&late_records).expect("records");
+    late.barrier(0).expect("barrier");
+    let (_seq, tokens) = late.result().expect("result after the panic");
+    assert_eq!(tokens, late_solo[..late_solo.len() / RUNS as usize]);
+    late.bye().expect("bye");
+
+    plane.sample_now();
+    let admin = plane.http_addr().expect("admin surface bound");
+    assert_eq!(http_status(admin, "/healthz"), 200);
+    server.shutdown();
+    plane.shutdown();
+    service.drain();
 }
 
 /// A client that vanishes mid-run is cancelled through the service's
