@@ -466,22 +466,17 @@ impl SessionCheckpoint {
         session_demand(&self.compiled)
     }
 
-    /// Runs the session completed before the checkpoint.
-    pub fn runs_completed(&self) -> u64 {
-        self.counters.runs_completed
-    }
-
-    /// Total firings across the session's completed runs.
-    pub fn firings(&self) -> u64 {
-        self.counters.firings
+    /// The session's counters at the checkpoint; the restored session
+    /// resumes counting from them.
+    pub fn counters(&self) -> SessionCounters {
+        self.counters
     }
 }
 
 impl fmt::Debug for SessionCheckpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionCheckpoint")
-            .field("runs_completed", &self.counters.runs_completed)
-            .field("firings", &self.counters.firings)
+            .field("counters", &self.counters)
             .field("demand", &self.demand())
             .finish_non_exhaustive()
     }
@@ -1799,8 +1794,8 @@ mod tests {
         source.wait(session, first).unwrap();
 
         let checkpoint = source.checkpoint_session(session).unwrap();
-        assert_eq!(checkpoint.runs_completed(), 1);
-        assert!(checkpoint.firings() > 0);
+        assert_eq!(checkpoint.counters().runs_completed, 1);
+        assert!(checkpoint.counters().firings > 0);
 
         // A restore on the same service is a copy under admission.
         let copy = source.restore_session(&checkpoint).unwrap();

@@ -7,6 +7,11 @@
 //! into cumulative `_bucket{le=...}` samples plus `_sum` and `_count`,
 //! which is how the log2 latency histograms reach a scraper.
 //!
+//! A layer declares its families once, as a const table of [`Family`]
+//! rows (name, help, type, accessor); [`Exposition::families`] and
+//! [`Exposition::labelled`] render a table one family at a time, so
+//! every family's samples stay consecutive.
+//!
 //! Label **values** are arbitrary UTF-8 (a session or graph name may
 //! contain `"`, `\` or a newline) and are escaped per the exposition
 //! spec; metric and label **names** are programmer-supplied constants,
