@@ -1,7 +1,8 @@
-//! The iteration barrier: flush, rebind, republish — or finish.
+//! The iteration barrier: flush, measure, rebind, re-decide the
+//! participant count, republish — or finish.
 
 use super::state::{ChannelRing, RunState};
-use super::Engine;
+use super::{ClockMode, Engine};
 use crate::arena::SlabArena;
 use crate::metrics::RebindEvent;
 use crate::token::Token;
@@ -10,12 +11,18 @@ use tpdf_trace::EventKind;
 
 impl Engine {
     /// When every node has completed its repetition count: flush
-    /// rejected channels, apply a pending parameter rebinding, advance
-    /// (or finish) the iteration. Runs on the worker that completed the
-    /// iteration's last firing — every budget is exhausted (zero), so
-    /// no claim can race with the flush, the plan switch or the ring
-    /// growth; the `Release` budget republication is what publishes all
-    /// of them to the next claimants.
+    /// rejected channels, measure the iteration's firing cost, apply a
+    /// pending parameter rebinding, decide the next iteration's
+    /// participant count, advance (or finish) the iteration. Runs on
+    /// the worker that completed the iteration's last firing — every
+    /// budget is exhausted (zero), so no claim can race with the flush,
+    /// the plan switch or the ring growth; the `Release` budget
+    /// republication is what publishes all of them to the next
+    /// claimants.
+    ///
+    /// TPDF changes parameters only at iteration boundaries, and the
+    /// degree of parallelism follows the same rule: this is the one
+    /// place a running job's participant count changes.
     pub(super) fn iteration_barrier(
         &self,
         state: &RunState,
@@ -53,7 +60,16 @@ impl Engine {
                     .expect("capacity covers initial tokens");
             }
         }
-        self.beacon.barrier();
+        // One clock read per iteration: the iteration's wall time ×
+        // participants ÷ firings is its cost per firing.
+        let now_ns = self.beacon.barrier();
+        let since = now_ns.saturating_sub(state.barrier_ns.swap(now_ns, Ordering::Relaxed));
+        let participants = state.participants.load(Ordering::Relaxed) as u64;
+        let firings = self.plans[state.plan.load(Ordering::Relaxed)]
+            .total_per_iter
+            .max(1);
+        self.telemetry
+            .record(since * participants / firings, firings);
         let finished = state.iteration.fetch_add(1, Ordering::Relaxed) + 1;
         if finished >= self.config.iterations {
             self.complete_run(state);
@@ -103,14 +119,7 @@ impl Engine {
                         finished,
                     );
                 }
-                let capacities = state
-                    .rings
-                    .iter()
-                    .map(|c| match c {
-                        ChannelRing::Data(ring) => ring.capacity() as u64,
-                        ChannelRing::Control(ring) => ring.capacity() as u64,
-                    })
-                    .collect();
+                let capacities = state.rings.iter().map(ChannelRing::capacity).collect();
                 state
                     .rebinds
                     .lock()
@@ -128,6 +137,23 @@ impl Engine {
                 .store(plan.total_per_iter, Ordering::Relaxed);
             for (n, ns) in state.nodes.iter().enumerate() {
                 ns.budget.store(plan.counts[n], Ordering::Release);
+            }
+            // Re-decide the participant count (Virtual clocks only, as
+            // at submit). Surplus participants leave at their next loop
+            // pass; a raise asks the pool for more.
+            let slots = state.queues.len();
+            if slots > 1 && matches!(self.config.clock_mode, ClockMode::Virtual) {
+                let next = if self.telemetry.fine_grained() {
+                    1
+                } else {
+                    slots
+                };
+                let before = state.participants.swap(next, Ordering::Relaxed);
+                if next > before {
+                    if let Some(widen) = &state.on_widen {
+                        widen(next - before);
+                    }
+                }
             }
         }
         if let Some(t) = tracer {

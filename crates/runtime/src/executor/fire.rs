@@ -39,25 +39,23 @@ struct Claim {
 }
 
 /// Per-worker scratch threaded through the firing path: the local
-/// firing counter that drives the 1-in-8 sampling cadence, the cached
-/// trace timestamp that unsampled firings stamp their events with —
-/// tracing then costs one clock read per *sampled* firing instead of
-/// per firing, which is what keeps the flight recorder within its
-/// overhead budget on fine-grained graphs — and the worker's memory
-/// recycling state: the slab arena its firing slabs cycle through,
-/// the spare port-entry containers, and the scalar buffer the mode
-/// selector reads from. Together these make a steady-state firing
-/// allocation-free.
+/// firing counter that drives the tracer's 1-in-8 sampling cadence,
+/// the cached trace timestamp that unsampled firings stamp their
+/// events with — tracing then costs one clock read per *sampled*
+/// firing instead of per firing, which is what keeps the flight
+/// recorder within its overhead budget on fine-grained graphs — and
+/// the worker's memory recycling state: the slab arena its firing
+/// slabs cycle through, the spare port-entry containers, and the
+/// scalar buffer the mode selector reads from. Together these make a
+/// steady-state firing allocation-free.
 pub(super) struct FireScratch {
     fired: u64,
     ts_ns: u64,
-    /// Sampling cadence of the cost/trace timer as a power-of-two mask
+    /// Sampling cadence of the trace timer as a power-of-two mask
     /// (`fired & mask == 1` samples). Workers use 1-in-8; the
-    /// single-worker fast path stretches to 1-in-64 — it only runs
-    /// *after* the fine-grained verdict converged, so it needs enough
-    /// samples to notice a kernel growing coarse again, not to build
-    /// the estimate from scratch, and on sub-microsecond firings the
-    /// two clock reads per sample are themselves a measurable tax.
+    /// single-worker fast path stretches to 1-in-64 — on
+    /// sub-microsecond firings the two clock reads per sample are
+    /// themselves a measurable tax.
     sample_mask: u64,
     /// Recycled `Vec<Token>` firing slabs, bucketed by capacity class.
     arena: SlabArena<Token>,
@@ -124,8 +122,8 @@ impl Engine {
     /// the two loops. A 1-worker Virtual-clock run skips the
     /// coordination layer entirely: no [`Engine::attempt`] (so no claim
     /// CAS, no progress word, no wake traffic), no ready-queue locks —
-    /// just claim, execute, publish. This is the path fine-grained
-    /// graphs collapse to whatever the configured pool size.
+    /// just claim, execute, publish. This is the path a graph already
+    /// known to be fine-grained starts on, whatever the pool size.
     pub(crate) fn participate(
         &self,
         state: &RunState,
@@ -133,6 +131,13 @@ impl Engine {
         registry: &KernelRegistry,
         start: Instant,
     ) -> bool {
+        // The first participant starts the first iteration's clock.
+        let _ = state.barrier_ns.compare_exchange(
+            0,
+            self.beacon.ns_at(start),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
         if state.queues.len() == 1 && matches!(self.config.clock_mode, ClockMode::Virtual) {
             self.run_single(state, registry, start);
             false
@@ -142,10 +147,10 @@ impl Engine {
     }
 
     /// The shared worker loop. Returns `true` when the worker *stood
-    /// down* from a granularity-collapsed run (rather than the run
-    /// halting): the pool gives such a worker's participation slot
-    /// back so it can serve other jobs — and be re-claimed if the cost
-    /// estimate later recovers.
+    /// down* because the iteration barrier lowered the participant
+    /// count below its index (rather than the run halting): the pool
+    /// gives such a worker's participation slot back so it can serve
+    /// other jobs — and be re-claimed when a barrier raises the count.
     fn worker_loop(
         &self,
         state: &RunState,
@@ -170,21 +175,18 @@ impl Engine {
                     continue;
                 }
             }
-            // 2. Granularity backoff: when firings are measured to be
-            //    too cheap to distribute, secondary workers stand down
-            //    and worker 0 runs the graph alone — on fine-grained
-            //    graphs the claim path is cheaper than the coordination
-            //    it would take to share it. Standing down means
+            // 2. Stand down when the barrier lowered the participant
+            //    count below this index. Standing down means
             //    *returning*: on a multi-job pool the thread goes back
             //    to the hunt and serves other queued jobs instead of
-            //    napping until this one ends (worker 0 alone finishes
-            //    the run — any participant subset makes progress), and
-            //    the freed slot can be re-claimed should the estimate
-            //    recover. Never in real-time mode: there kernels can
-            //    block on wall-clock work that cheap control firings
-            //    would average into invisibility, and `run` promises
-            //    real-time runs the full pool.
-            if me != 0 && !real_time && self.fine_grained() {
+            //    napping until this one ends (any participant subset
+            //    makes progress). A parked peer may be waiting on work
+            //    this participant would have taken: wake it first.
+            if me >= state.participants.load(Ordering::Relaxed) {
+                if state.parked.load(Ordering::SeqCst) > 0 {
+                    drop(state.park.lock().expect("park lock"));
+                    state.cond.notify_all();
+                }
                 break true;
             }
             // The progress word is loaded before looking for work so
@@ -269,7 +271,7 @@ impl Engine {
                 while let Some(claim) = self.try_claim_node(state, node, false, &mut scratch) {
                     progressed = true;
                     if let Err(error) =
-                        self.execute_timed(state, claim, registry, start, 0, &mut scratch)
+                        self.execute_traced(state, claim, registry, start, 0, &mut scratch)
                     {
                         self.fail(state, error);
                         break 'run;
@@ -394,25 +396,23 @@ impl Engine {
                     tracer.event(me, EventKind::Steal, state.trace_job, node as u64, 0, 0);
                 }
             }
-            Some(self.execute_timed(state, claim, registry, start, me, scratch))
+            Some(self.execute_traced(state, claim, registry, start, me, scratch))
         })
     }
 
-    /// Executes a claimed firing and publishes its outputs. One in
-    /// eight firings is timed to feed the granularity heuristic —
-    /// timing every firing would itself be a measurable per-firing
-    /// cost. Shared by the multi-worker and single-worker paths so the
-    /// telemetry feeding [`Engine::fine_grained`] cannot diverge
-    /// between them.
+    /// Executes a claimed firing and publishes its outputs. Shared by
+    /// the multi-worker and single-worker paths. Untraced, no firing
+    /// reads the clock (the firing-cost telemetry is measured once per
+    /// iteration, at the barrier).
     ///
-    /// Tracing rides the same cadence: sampled firings pay two clock
-    /// reads (a fresh timestamp plus the duration) and feed the shared
-    /// `firing_ns` histogram that every worker contends on; the seven
-    /// firings in between still emit their event — the flight-recorder
-    /// counts stay exact — but as a zero-width slice stamped with the
-    /// worker's cached timestamp. The merged log is timestamp-sorted,
-    /// so coarse stamps remain monotone per lane.
-    fn execute_timed(
+    /// Traced, one firing in eight (one in 64 on the single-worker
+    /// path) pays two clock reads (a fresh timestamp plus the duration)
+    /// and feeds the shared `firing_ns` histogram that every worker
+    /// contends on; the firings in between still emit their event — the
+    /// flight-recorder counts stay exact — but as a zero-width slice
+    /// stamped with the worker's cached timestamp. The merged log is
+    /// timestamp-sorted, so coarse stamps remain monotone per lane.
+    fn execute_traced(
         &self,
         state: &RunState,
         claim: Claim,
@@ -431,7 +431,6 @@ impl Engine {
                 scratch.ts_ns = tracer.now_ns();
             }
         }
-        let timer = (sampled && tracer.is_none()).then(Instant::now);
         let mut tokens: u64 = 0;
         let outcome = self
             .execute(claim, registry, scratch)
@@ -473,7 +472,6 @@ impl Engine {
                 let started = scratch.ts_ns;
                 let ended = tracer.now_ns();
                 let dur = ended.saturating_sub(started);
-                self.record_cost_sample(dur);
                 tracer.histograms().firing_ns.record(dur);
                 // Later unsampled firings stamp "after this one".
                 scratch.ts_ns = ended;
@@ -519,8 +517,6 @@ impl Engine {
                 }
                 scratch.traced = stats;
             }
-        } else if let Some(timer) = timer {
-            self.record_cost_sample(timer.elapsed().as_nanos() as u64);
         }
         outcome
     }

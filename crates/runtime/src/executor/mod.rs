@@ -73,7 +73,7 @@
 //! | `plan` | compile: graph + configuration → the `Engine`'s node and channel tables and one `Plan` per phase of the binding sequence |
 //! | `state` | the `RunState` of one run: built fresh or restored from a [`Checkpoint`], captured into one, read out as [`Metrics`] |
 //! | `fire` | a participant's loop (`Engine::participate` is the one place that picks the single-worker loop or the shared worker loop) and the claim → execute → publish pipeline both loops share |
-//! | `barrier` | the iteration barrier: flush, rebind, republish the budgets — or finish |
+//! | `barrier` | the iteration barrier: flush, rebind, measure the iteration and decide the next one's participant count, republish the budgets — or finish |
 //! | `clock` | real-time clock ticks |
 //! | `stall` | the coordination protocol: the one attempt path (`Engine::attempt`, sole writer of the progress word), park/wake, the one halt path (completion, failure, cancellation, stall), the stall post-mortem, the progress beacon |
 //!
@@ -380,20 +380,25 @@ pub fn mode_code(mode: &Mode) -> u32 {
     }
 }
 
-/// Below this measured per-firing cost, secondary workers back off and
-/// leave the graph to one worker: the scheduling cost of distributing a
-/// firing (claim CAS, queue traffic, a wake-up) exceeds what
-/// parallelism can recover. Heavy kernels — real compute, simulated
-/// execution times, I/O waits — stay far above it and parallelise
-/// fully. The figure comes from the measured claim/complete overhead
-/// (≈ 0.5–1 µs per firing).
+/// Below this measured cost per firing, a run keeps one participant:
+/// the scheduling cost of distributing a firing (claim CAS, queue
+/// traffic, a wake-up) exceeds what parallelism can recover. Heavy
+/// kernels — real compute, simulated execution times, I/O waits — stay
+/// far above it and parallelise fully. The figure comes from the
+/// measured claim/complete overhead (≈ 0.5–1 µs per firing).
 const FINE_GRAIN_NS: u64 = 10_000;
 
-/// Sampled firing-cost telemetry (1 in 8 firings is timed): an
-/// exponentially weighted moving average (α = 1/8) in nanoseconds,
-/// feeding the granularity heuristic. An EWMA — not a cumulative mean —
-/// so a registry whose kernel weight changes between `run` calls
-/// re-classifies within a few dozen samples instead of being anchored
+/// Firings the telemetry must have covered before it may call a graph
+/// fine-grained: a verdict from one short iteration is noise.
+const WARM_UP_FIRINGS: u64 = 64;
+
+/// Firing-cost telemetry, fed once per iteration by the barrier: the
+/// iteration's wall time × its participant count ÷ its firings, folded
+/// into an exponentially weighted moving average (α = 1/8) in
+/// nanoseconds. Every firing of an iteration is covered, so a short
+/// run weighs its cheap and its heavy nodes alike. An EWMA — not a
+/// cumulative mean — so a registry whose kernel weight changes between
+/// runs re-classifies within a few iterations instead of being anchored
 /// by the whole history.
 ///
 /// The telemetry is shared (`Arc`): it lives on the [`Executor`] so the
@@ -406,34 +411,37 @@ const FINE_GRAIN_NS: u64 = 10_000;
 #[derive(Debug, Default)]
 pub(crate) struct CostTelemetry {
     ewma_ns: AtomicU64,
-    samples: AtomicU64,
+    firings: AtomicU64,
 }
 
 impl CostTelemetry {
-    /// Folds one firing-cost sample into the EWMA (α = 1/8; the first
-    /// sample seeds the average). Samples race only against each other
-    /// and the estimate is advisory, so `Relaxed` suffices — a lost
-    /// update costs one sample's weight, not correctness.
-    fn record(&self, sample_ns: u64) {
-        if self.samples.fetch_add(1, Ordering::Relaxed) == 0 {
-            self.ewma_ns.store(sample_ns, Ordering::Relaxed);
+    /// Folds one iteration's cost per firing into the EWMA (α = 1/8;
+    /// the first sample seeds the average). Concurrent runs sharing the
+    /// telemetry race only against each other and the estimate is
+    /// advisory, so `Relaxed` suffices — a lost update costs one
+    /// sample's weight, not correctness.
+    fn record(&self, cost_ns: u64, firings: u64) {
+        if self.firings.fetch_add(firings, Ordering::Relaxed) == 0 {
+            self.ewma_ns.store(cost_ns, Ordering::Relaxed);
         } else {
             let old = self.ewma_ns.load(Ordering::Relaxed);
             self.ewma_ns
-                .store(old - old / 8 + sample_ns / 8, Ordering::Relaxed);
+                .store(old - old / 8 + cost_ns / 8, Ordering::Relaxed);
         }
     }
 
-    /// Whether the sampled firing cost says firings are too cheap to be
-    /// worth distributing across workers.
+    /// Whether the measured firing cost says firings are too cheap to
+    /// be worth distributing across workers. Read only where a
+    /// participant count is decided: at submit (through
+    /// [`Engine::effective_workers`]) and at the iteration barrier.
     fn fine_grained(&self) -> bool {
-        self.samples.load(Ordering::Relaxed) >= 8
+        self.firings.load(Ordering::Relaxed) >= WARM_UP_FIRINGS
             && self.ewma_ns.load(Ordering::Relaxed) < FINE_GRAIN_NS
     }
 
     /// The current estimate in nanoseconds, `None` before any sample.
     pub(crate) fn sampled_firing_cost_ns(&self) -> Option<u64> {
-        (self.samples.load(Ordering::Relaxed) > 0).then(|| self.ewma_ns.load(Ordering::Relaxed))
+        (self.firings.load(Ordering::Relaxed) > 0).then(|| self.ewma_ns.load(Ordering::Relaxed))
     }
 }
 
@@ -575,9 +583,10 @@ impl<'g> Executor<'g> {
     }
 
     /// The current firing-cost estimate in nanoseconds: an EWMA
-    /// (α = 1/8) over the sampled firings of every `run` on this
-    /// executor, or `None` before the first sample. Feeds the
-    /// granularity heuristic that decides whether a graph is worth
+    /// (α = 1/8) over the iterations of every `run` on this executor,
+    /// each measured at its barrier as wall time × participants ÷
+    /// firings, or `None` before the first iteration completed. Feeds
+    /// the granularity heuristic that decides whether a graph is worth
     /// distributing across workers.
     pub fn sampled_firing_cost_ns(&self) -> Option<u64> {
         self.engine.telemetry.sampled_firing_cost_ns()
@@ -646,8 +655,9 @@ impl<'g> Executor<'g> {
 
     /// Submits one [`RunRequest`] to a pool built for this one call and
     /// waits: the calling thread is one participant, so the pool spawns
-    /// no OS thread for a 1-worker run and `workers - 1` otherwise (a
-    /// graph already classified fine-grained collapses to 1 worker).
+    /// no OS thread for a 1-thread configuration and `threads - 1`
+    /// otherwise. How many of them the run engages is `submit`'s
+    /// decision.
     fn run_request(
         &self,
         registry: &KernelRegistry,
@@ -658,7 +668,7 @@ impl<'g> Executor<'g> {
             resume,
             checkpoint_at_end,
         };
-        ExecutorPool::new(self.engine.effective_workers())
+        ExecutorPool::new(self.engine.config.threads)
             .submit(&self.compile(), registry, request, None)
             .wait()
     }
@@ -753,13 +763,14 @@ impl Engine {
         (iteration as usize).min(self.plans.len() - 1)
     }
 
-    /// The worker count a run should use right now: collapsed to one
-    /// when the telemetry says the graph is fine-grained (Virtual
-    /// clocks only — real-time kernels block on wall-clock work
-    /// regardless of what the cost samples say), the configured count
-    /// otherwise.
+    /// The participant count a run starts with: one when the telemetry
+    /// says the graph is fine-grained (Virtual clocks only — real-time
+    /// kernels block on wall-clock work regardless of what the cost
+    /// measurements say), the configured count otherwise. Evaluated
+    /// once per run, by [`crate::pool::ExecutorPool::submit`]; the
+    /// iteration barrier re-decides each later iteration's count.
     pub(crate) fn effective_workers(&self) -> usize {
-        if matches!(self.config.clock_mode, ClockMode::Virtual) && self.fine_grained() {
+        if matches!(self.config.clock_mode, ClockMode::Virtual) && self.telemetry.fine_grained() {
             1
         } else {
             self.config.threads
@@ -776,21 +787,6 @@ impl Engine {
             Some(tracer) if tracer.is_enabled() => Some(tracer),
             _ => None,
         }
-    }
-
-    /// Whether the sampled firing cost says this graph's firings are
-    /// too cheap to be worth distributing across workers. The estimate
-    /// is an EWMA, so a few dozen samples of a newly heavy (or newly
-    /// cheap) registry flip the verdict even after a long history.
-    /// `pub(crate)`: the pool's job hunt skips collapsed jobs that
-    /// already have a participant.
-    pub(crate) fn fine_grained(&self) -> bool {
-        self.telemetry.fine_grained()
-    }
-
-    /// Records one firing-cost sample into the shared telemetry.
-    fn record_cost_sample(&self, sample_ns: u64) {
-        self.telemetry.record(sample_ns);
     }
 }
 

@@ -27,7 +27,8 @@ pub const STALL_DUMP_EVENTS: usize = 32;
 ///
 /// All stores are `Relaxed`: the beacon is advisory telemetry, ordered
 /// only with itself, and adds one `Instant::now` per *iteration* (not
-/// per firing) to the barrier.
+/// per firing) to the barrier — the one clock read the barrier also
+/// measures the iteration's firing cost with.
 #[derive(Debug)]
 pub(crate) struct ProgressBeacon {
     /// Construction time; progress timestamps are nanoseconds since
@@ -55,14 +56,22 @@ impl ProgressBeacon {
         (self.epoch.elapsed().as_nanos() as u64).max(1)
     }
 
-    fn touch(&self) {
-        self.last_progress_ns
-            .store(self.now_ns(), Ordering::Relaxed);
+    /// `at` in the beacon's nanoseconds, without reading the clock.
+    pub(super) fn ns_at(&self, at: Instant) -> u64 {
+        (at.saturating_duration_since(self.epoch).as_nanos() as u64).max(1)
     }
 
-    pub(super) fn barrier(&self) {
+    fn touch(&self) -> u64 {
+        let now = self.now_ns();
+        self.last_progress_ns.store(now, Ordering::Relaxed);
+        now
+    }
+
+    /// Counts one barrier and returns its timestamp (see
+    /// [`ProgressBeacon::ns_at`]).
+    pub(super) fn barrier(&self) -> u64 {
         self.barriers.fetch_add(1, Ordering::Relaxed);
-        self.touch();
+        self.touch()
     }
 
     pub(super) fn run_started(&self) {
@@ -191,7 +200,7 @@ impl Engine {
             }
         };
         state.progress.fetch_add(COMMIT - OPEN, Ordering::SeqCst);
-        if surplus && !self.fine_grained() && state.parked.load(Ordering::SeqCst) > 0 {
+        if surplus && state.parked.load(Ordering::SeqCst) > 0 {
             drop(state.park.lock().expect("park lock"));
             if self.config.placement.is_affinity() {
                 // A hint may have been routed to a specific parked home

@@ -24,6 +24,22 @@ pub(super) enum ChannelRing {
     Control(RingBuffer<Mode>),
 }
 
+impl ChannelRing {
+    pub(super) fn capacity(&self) -> u64 {
+        match self {
+            ChannelRing::Data(ring) => ring.capacity() as u64,
+            ChannelRing::Control(ring) => ring.capacity() as u64,
+        }
+    }
+
+    fn high_water(&self) -> u64 {
+        match self {
+            ChannelRing::Data(ring) => ring.high_water() as u64,
+            ChannelRing::Control(ring) => ring.high_water() as u64,
+        }
+    }
+}
+
 /// Per-node mutable scheduling state, all atomic.
 #[derive(Debug, Default)]
 pub(super) struct NodeRunState {
@@ -77,6 +93,20 @@ pub(crate) struct RunState {
     pub(super) parked: AtomicUsize,
     pub(super) deadline_misses: AtomicU64,
     pub(super) vote_failures: AtomicU64,
+    /// Participants the current iteration runs with (1 ..= the number
+    /// of `queues`). Set at submit and re-decided by each iteration
+    /// barrier; a participant whose index is at or above it leaves at
+    /// its next loop pass. It publishes no other data; a raise reaches
+    /// a hunting pool worker through `on_widen`, which passes through
+    /// the pool's slot lock after the store.
+    pub(crate) participants: AtomicUsize,
+    /// Beacon timestamp of the previous barrier, or of the run's start
+    /// (0 until the first participant arrives): the barrier measures
+    /// each iteration's firing cost from it.
+    pub(super) barrier_ns: AtomicU64,
+    /// Called with the number of participants a barrier added, so the
+    /// pool can wake that many hunting workers.
+    pub(crate) on_widen: Option<Box<dyn Fn(usize) + Send + Sync>>,
     /// Per-worker ready queues (hints, not obligations: a stale entry
     /// is simply dropped when its claim fails). Under affinity
     /// placement, completions route each hint to the *home worker's*
@@ -182,6 +212,9 @@ impl Engine {
             parked: AtomicUsize::new(0),
             deadline_misses: AtomicU64::new(0),
             vote_failures: AtomicU64::new(0),
+            participants: AtomicUsize::new(workers.max(1)),
+            barrier_ns: AtomicU64::new(0),
+            on_widen: None,
             // Hints are deduplicated by the per-node `queued` flag, so
             // all queues together never hold more than one entry per
             // node — reserving that bound up front keeps `VecDeque`
@@ -347,13 +380,7 @@ impl Engine {
         // to an uninterrupted run's.
         let mut rebinds = checkpoint.metrics.rebinds.clone();
         if checkpoint.iteration > 0 && phase != self.phase_of(checkpoint.iteration - 1) {
-            let capacities = rings
-                .iter()
-                .map(|c| match c {
-                    ChannelRing::Data(ring) => ring.capacity() as u64,
-                    ChannelRing::Control(ring) => ring.capacity() as u64,
-                })
-                .collect();
+            let capacities = rings.iter().map(ChannelRing::capacity).collect();
             rebinds.push(RebindEvent {
                 iteration: checkpoint.iteration,
                 binding: plan.binding.clone(),
@@ -383,6 +410,9 @@ impl Engine {
             parked: AtomicUsize::new(0),
             deadline_misses: AtomicU64::new(checkpoint.metrics.deadline_misses),
             vote_failures: AtomicU64::new(checkpoint.metrics.vote_failures),
+            participants: AtomicUsize::new(workers.max(1)),
+            barrier_ns: AtomicU64::new(0),
+            on_widen: None,
             queues: (0..workers.max(1))
                 .map(|_| Mutex::new(VecDeque::with_capacity(self.nodes.len() + 1)))
                 .collect(),
@@ -517,23 +547,10 @@ impl Engine {
             .iter()
             .map(|t| t.load(Ordering::Relaxed))
             .collect();
-        let channel_high_water: Vec<u64> = state
-            .rings
-            .iter()
-            .map(|c| match c {
-                ChannelRing::Data(ring) => ring.high_water() as u64,
-                ChannelRing::Control(ring) => ring.high_water() as u64,
-            })
-            .collect();
+        let channel_high_water: Vec<u64> =
+            state.rings.iter().map(ChannelRing::high_water).collect();
         // Final capacities: rings may have grown at rebind barriers.
-        let channel_capacity: Vec<u64> = state
-            .rings
-            .iter()
-            .map(|c| match c {
-                ChannelRing::Data(ring) => ring.capacity() as u64,
-                ChannelRing::Control(ring) => ring.capacity() as u64,
-            })
-            .collect();
+        let channel_capacity: Vec<u64> = state.rings.iter().map(ChannelRing::capacity).collect();
         let mode_sequences: Vec<Vec<Mode>> = state
             .mode_log
             .iter()

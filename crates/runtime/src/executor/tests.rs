@@ -320,7 +320,7 @@ fn firing_cost_ewma_reclassifies_between_runs() {
 
     exec.run(&KernelRegistry::new()).unwrap();
     let after_cheap = exec.sampled_firing_cost_ns().expect("samples were taken");
-    // ~125 cheap samples decay the 100µs estimate by (7/8)^125; a
+    // 100 cheap iterations decay the 100µs estimate by (7/8)^100; a
     // cumulative mean would still sit at ~after_heavy / 2. The 4×
     // bound keeps the assertion robust to scheduling noise while
     // cleanly separating the two behaviours.
@@ -493,6 +493,74 @@ fn commit_racing_the_stall_verdict_is_not_a_stall() {
     let error = state.park.lock().unwrap().error.clone();
     assert!(error.is_none(), "a racing commit was reported as {error:?}");
     assert!(!state.halt.load(Ordering::SeqCst));
+}
+
+/// A participant that stands down while its peer is parked wakes the
+/// peer: its last commit may leave exactly the work the peer waits
+/// for, with no surplus to trigger the commit-side notify. Worker 1
+/// holds `x`'s only firing while worker 0 parks (the verdict hook
+/// proves it reached the park, and the park lock that it is waiting);
+/// then the participant count drops to 1 and `x` completes. Without
+/// the wake, worker 0 sleeps out the 10 s stall timeout before firing
+/// `y`.
+#[test]
+fn a_participant_that_stands_down_wakes_its_parked_peer() {
+    use std::sync::atomic::AtomicBool;
+    static PEER_AT_VERDICT: AtomicBool = AtomicBool::new(false);
+    fn at_verdict(_: &Engine, _: &RunState) {
+        PEER_AT_VERDICT.store(true, Ordering::SeqCst);
+    }
+    let g = TpdfGraph::builder()
+        .kernel("x")
+        .kernel("y")
+        .channel("x", "y", RateSeq::constant(1), RateSeq::constant(1), 0)
+        .build()
+        .unwrap();
+    let mut config = RuntimeConfig::new(Binding::new()).with_threads(2);
+    config.stall_timeout = Duration::from_secs(10);
+    let executor = Executor::new(&g, config).unwrap();
+    let engine = &executor.engine;
+    let state = engine.initial_state(2);
+    let entered = Arc::new(AtomicBool::new(false));
+    let released = Arc::new(AtomicBool::new(false));
+    let mut registry = KernelRegistry::new();
+    {
+        let (entered, released) = (Arc::clone(&entered), Arc::clone(&released));
+        registry.register_fn("x", move |ctx| {
+            entered.store(true, Ordering::SeqCst);
+            while !released.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            ctx.fill_outputs_cycling(&[Token::Int(1)]);
+            Ok(())
+        });
+    }
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        let holder = s.spawn(|| engine.participate(&state, 1, &registry, start));
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let peer = s.spawn(|| {
+            stall::BEFORE_VERDICT.set(Some(at_verdict));
+            engine.participate(&state, 0, &registry, start)
+        });
+        while !PEER_AT_VERDICT.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The peer holds the park lock from its verdict until it waits.
+        drop(state.park.lock().unwrap());
+        state.participants.store(1, Ordering::Relaxed);
+        released.store(true, Ordering::SeqCst);
+        assert!(holder.join().unwrap(), "worker 1 must stand down");
+        assert!(!peer.join().unwrap(), "worker 0 must finish the run");
+    });
+    assert!(state.park.lock().unwrap().done);
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "worker 0 slept out its stall timeout: {:?}",
+        start.elapsed()
+    );
 }
 
 #[test]

@@ -49,13 +49,15 @@ pub struct Metrics {
     pub iterations: u64,
     /// Worker threads configured.
     pub threads: usize,
-    /// Worker threads the run actually engaged: 1 when the granularity
-    /// heuristic collapsed a fine-grained graph to the single-worker
-    /// fast path, the configured (pool-clamped) count otherwise. A
-    /// reused [`crate::pool::ExecutorPool`] whose telemetry classified
-    /// the graph in an earlier run starts follow-up runs already
-    /// collapsed — visible here as `effective_workers == 1` with
-    /// `threads > 1`.
+    /// Participation slots the run started with, decided once at
+    /// submit: 1 when the firing-cost telemetry had already classified
+    /// the graph fine-grained (the single-worker fast path), the
+    /// configured (pool-clamped) count otherwise. A reused
+    /// [`crate::pool::ExecutorPool`] whose telemetry classified the
+    /// graph in an earlier run starts follow-up runs collapsed —
+    /// visible here as `effective_workers == 1` with `threads > 1`.
+    /// Within those slots, each iteration barrier re-decides how many
+    /// participants the next iteration runs with.
     pub effective_workers: usize,
     /// The placement policy the run executed under.
     pub placement: PlacementPolicy,

@@ -30,10 +30,13 @@
 //! ## Job slot table
 //!
 //! One mutex-guarded queue holds every job still accepting
-//! participants. A job asks for `workers` participants (its
-//! [`RunState`] is sized accordingly); idle pool workers *hunt* the
-//! queue in FIFO order and claim the next free participation index of
-//! the first unfilled job. A job runs correctly with **any** non-empty
+//! participants. A job has `workers` participation slots (its
+//! [`RunState`] is sized accordingly) and a *participant count* of at
+//! most that many: [`ExecutorPool::submit`] sets it, and from then on
+//! only the job's iteration barrier changes it. Idle pool workers
+//! *hunt* the queue in FIFO order and claim the next participation
+//! index of the first job whose `joined` count is below its
+//! participant count. A job runs correctly with **any** non-empty
 //! subset of its participants — readiness hunting, stealing and stall
 //! detection are all worker-count-agnostic — so a job never waits for
 //! its full complement; late workers simply join a run in progress,
@@ -48,6 +51,16 @@
 //! ids, so `Metrics::worker_firings` / `worker_steals` are tallied per
 //! job, never smeared across the concurrent jobs a pool worker serves
 //! over its lifetime.
+//!
+//! ## Participants change only at iteration barriers
+//!
+//! When a barrier lowers the count (the graph measured fine-grained), a
+//! participant whose index is at or above it *stands down* at its next
+//! loop pass — waking a parked peer first — and hands its slot back, so
+//! the thread serves other queued jobs; the hunt passes the job over
+//! while `joined` has reached the count. When a barrier raises it, the
+//! job's `on_widen` notifier wakes one hunting worker per added
+//! participant. No timer is involved.
 //!
 //! ## Panic isolation
 //!
@@ -68,7 +81,7 @@
 //! [`Metrics::pinned_cores`](crate::metrics::Metrics::pinned_cores).
 
 use crate::executor::{
-    ClockMode, CompiledExecutor, CostTelemetry, Engine, Executor, RunOutcome, RunRequest, RunState,
+    CompiledExecutor, CostTelemetry, Engine, Executor, RunOutcome, RunRequest, RunState,
 };
 use crate::kernel::KernelRegistry;
 use crate::pinning::pin_to_nth_allowed_core;
@@ -92,7 +105,8 @@ struct PoolJob {
     /// Set by the first participant: a job queued behind a busy pool
     /// must not count its queue latency against real-time deadlines.
     start: OnceLock<Instant>,
-    /// Participation slots (1 ..= pool size).
+    /// Participation slots (1 ..= pool size): the most participants
+    /// the job's iteration barriers can ask for.
     workers: usize,
     /// Slots handed out so far. Only mutated under the slot lock.
     joined: AtomicUsize,
@@ -125,7 +139,7 @@ impl PoolJob {
 struct PoolSlot {
     /// Jobs still accepting participants, in submission order. A job
     /// leaves the queue when its last slot is claimed or when it is
-    /// finalised, whichever comes first.
+    /// finalised, whichever comes first; a stand-down re-queues it.
     queue: Vec<Arc<PoolJob>>,
     /// Spawned workers that completed their startup handshake.
     started: usize,
@@ -144,20 +158,22 @@ struct PoolShared {
     pinned: Mutex<Vec<Option<usize>>>,
 }
 
-/// Claims the next participation slot of `job`, if one is free and the
-/// job is not already finalising. The single source of the join-side
-/// lock protocol: bump `joined`/`active` together and bar further joins
-/// (queue removal) the moment the last slot is handed out. Must hold
-/// the slot lock.
+/// Whether `job` takes another participant now: `joined` is below the
+/// participant count its last barrier (or `submit`) decided.
+fn joinable(job: &PoolJob) -> bool {
+    job.joined.load(Ordering::SeqCst) < job.state.participants.load(Ordering::SeqCst)
+}
+
+/// Claims the next participation slot of `job`, if it is
+/// [`joinable`] and not already finalising. The single source of the
+/// join-side lock protocol: bump `joined`/`active` together and bar
+/// further joins (queue removal) the moment the last slot is handed
+/// out. Must hold the slot lock.
 fn claim_participation(slot: &mut PoolSlot, job: &Arc<PoolJob>) -> Option<usize> {
-    if job.finishing.load(Ordering::SeqCst) {
+    if job.finishing.load(Ordering::SeqCst) || !joinable(job) {
         return None;
     }
-    let joined = job.joined.load(Ordering::SeqCst);
-    if joined >= job.workers {
-        return None;
-    }
-    job.joined.fetch_add(1, Ordering::SeqCst);
+    let joined = job.joined.fetch_add(1, Ordering::SeqCst);
     job.active.fetch_add(1, Ordering::SeqCst);
     if joined + 1 == job.workers {
         slot.queue.retain(|j| !Arc::ptr_eq(j, job));
@@ -165,38 +181,11 @@ fn claim_participation(slot: &mut PoolSlot, job: &Arc<PoolJob>) -> Option<usize>
     Some(joined)
 }
 
-/// Whether a hunting worker should pass over `job` for now: a
-/// granularity-collapsed virtual-clock job that already has a
-/// participant would make the joiner stand straight back down — leave
-/// its re-queued slots alone until the cost estimate recovers (the
-/// hunt re-evaluates on its bounded wait).
-fn skip_collapsed(job: &PoolJob) -> bool {
-    job.active.load(Ordering::SeqCst) > 0
-        && matches!(job.engine.config().clock_mode, ClockMode::Virtual)
-        && job.engine.fine_grained()
-}
-
-/// Claims the next free participation slot of the first joinable job.
-/// The second field reports whether a collapsed job was *passed over*
-/// — the signal that the hunt must re-poll on a timeout, since nothing
-/// notifies when a cost estimate recovers. Must hold the slot lock.
-fn claim_slot(slot: &mut PoolSlot) -> (Option<(Arc<PoolJob>, usize)>, bool) {
-    let mut skipped = false;
-    let job = slot.queue.iter().find(|j| {
-        if j.joined.load(Ordering::SeqCst) >= j.workers {
-            return false;
-        }
-        if skip_collapsed(j) {
-            skipped = true;
-            return false;
-        }
-        true
-    });
-    let Some(job) = job.cloned() else {
-        return (None, skipped);
-    };
-    let claimed = claim_participation(slot, &job).map(|idx| (job, idx));
-    (claimed, skipped)
+/// Claims the next participation slot of the first [`joinable`] job.
+/// Must hold the slot lock.
+fn claim_slot(slot: &mut PoolSlot) -> Option<(Arc<PoolJob>, usize)> {
+    let job = slot.queue.iter().find(|j| joinable(j)).cloned()?;
+    claim_participation(slot, &job).map(|idx| (job, idx))
 }
 
 /// Elects the caller as the job's finaliser if the job has no live
@@ -213,13 +202,12 @@ fn try_elect_finalizer(slot: &mut PoolSlot, job: &Arc<PoolJob>) -> bool {
     true
 }
 
-/// Runs one participation of `job` as participant `idx`. A panic is
+/// Runs one participation of `job` as participant `idx`, then leaves:
+/// a participant that stood down hands its slot back ([`stand_down`]),
+/// and the last one out of a halted job finalises it. A panic is
 /// contained: it fails this job (and only this job) and the calling
-/// worker survives. Returns whether the worker *stood down* from a
-/// granularity-collapsed run (the job keeps running on its remaining
-/// participants; the caller must release the slot via [`stand_down`]
-/// instead of [`leave`]).
-fn participate(job: &Arc<PoolJob>, idx: usize) -> bool {
+/// worker survives.
+fn participate(shared: &PoolShared, job: &Arc<PoolJob>, idx: usize) {
     let start = job.started();
     if let Some(tracer) = job.engine.trace() {
         tracer.event(
@@ -235,29 +223,25 @@ fn participate(job: &Arc<PoolJob>, idx: usize) -> bool {
         job.engine
             .participate(&job.state, idx, &job.registry, start)
     }));
-    match outcome {
-        Ok(stood_down) => stood_down,
-        Err(_) => {
-            job.engine.fail(
-                &job.state,
-                RuntimeError::KernelFailed {
-                    node: format!("pool worker {idx}"),
-                    message: "worker thread panicked".to_string(),
-                },
-            );
-            false
-        }
-    }
-}
-
-/// Reports one participant done; the last one out of a halted job
-/// finalises it.
-fn leave(shared: &PoolShared, job: &Arc<PoolJob>) {
+    let stood_down = outcome.unwrap_or_else(|_| {
+        job.engine.fail(
+            &job.state,
+            RuntimeError::KernelFailed {
+                node: format!("pool worker {idx}"),
+                message: "worker thread panicked".to_string(),
+            },
+        );
+        false
+    });
     let finalize = {
         let mut slot = shared.slot.lock().expect("pool lock");
         job.active.fetch_sub(1, Ordering::SeqCst);
-        // A participant only returns once the job halted, so a drained
-        // `active` means the run is over.
+        if stood_down {
+            stand_down(&mut slot, job);
+        }
+        // Only the stood-down leave a running job, and the first
+        // participant never stands down: a drained `active` means the
+        // run is over.
         try_elect_finalizer(&mut slot, job)
     };
     if finalize {
@@ -265,32 +249,15 @@ fn leave(shared: &PoolShared, job: &Arc<PoolJob>) {
     }
 }
 
-/// Releases a *stood-down* participation: the worker abandoned a
-/// granularity-collapsed job that keeps running on its remaining
-/// participants. The slot is handed back (`joined` decrements, unlike
-/// [`leave`]) and the job re-queued, so the slot can be re-claimed if
-/// the cost estimate later recovers — the hunt skips it while the
-/// collapse holds ([`skip_collapsed`]).
-fn stand_down(shared: &PoolShared, job: &Arc<PoolJob>) {
-    let finalize = {
-        let mut slot = shared.slot.lock().expect("pool lock");
-        job.joined.fetch_sub(1, Ordering::SeqCst);
-        job.active.fetch_sub(1, Ordering::SeqCst);
-        if job.active.load(Ordering::SeqCst) == 0 {
-            // The other participants raced out (the run halted just as
-            // we stood down): fall back to the normal election.
-            try_elect_finalizer(&mut slot, job)
-        } else {
-            if !job.finishing.load(Ordering::SeqCst)
-                && !slot.queue.iter().any(|j| Arc::ptr_eq(j, job))
-            {
-                slot.queue.push(Arc::clone(job));
-            }
-            false
-        }
-    };
-    if finalize {
-        finalize_job(shared, job);
+/// Hands a *stood-down* participant's slot back: the job keeps running
+/// on its remaining participants. `joined` decrements and the job is
+/// re-queued, so the slot can be re-claimed once a barrier raises the
+/// count again — until then the job is not [`joinable`]. Must hold the
+/// slot lock.
+fn stand_down(slot: &mut PoolSlot, job: &Arc<PoolJob>) {
+    job.joined.fetch_sub(1, Ordering::SeqCst);
+    if !job.finishing.load(Ordering::SeqCst) && !slot.queue.iter().any(|j| Arc::ptr_eq(j, job)) {
+        slot.queue.push(Arc::clone(job));
     }
 }
 
@@ -548,13 +515,16 @@ impl ExecutorPool {
     /// the initial state or from `request.resume`, fires to the final
     /// iteration barrier of `compiled`'s configuration, and — with
     /// `request.checkpoint_at_end` — leaves a barrier-consistent
-    /// checkpoint in its [`RunOutcome`]. It engages up to
-    /// `min(executor threads, pool size)` participants (the granularity
-    /// heuristic may collapse that to 1) and runs concurrently with
-    /// every other job active on the pool. A checkpoint may be resumed
-    /// on a different pool, worker count and placement than the one
-    /// that cut it: sink streams, mode sequences and firing counts are
-    /// byte-identical to a run that never stopped.
+    /// checkpoint in its [`RunOutcome`]. It has
+    /// `min(executor threads, pool size)` participation slots and
+    /// starts on all of them, or on one when the firing-cost telemetry
+    /// already classified the graph fine-grained; each iteration
+    /// barrier re-decides the count (see the module docs). It runs
+    /// concurrently with every other job active on the pool. A
+    /// checkpoint may be resumed on a different pool, worker count and
+    /// placement than the one that cut it: sink streams, mode sequences
+    /// and firing counts are byte-identical to a run that never
+    /// stopped.
     ///
     /// `on_complete` is invoked exactly once after the job's result is
     /// published (from the finalising thread, with no pool lock held) —
@@ -603,6 +573,20 @@ impl ExecutorPool {
             Some(Err(error)) => (engine.initial_state(workers), Some(error)),
         };
         self.tag_job(&engine, &mut state, workers);
+        if workers > 1 {
+            let shared = Arc::downgrade(&self.shared);
+            state.on_widen = Some(Box::new(move |added| {
+                if let Some(shared) = shared.upgrade() {
+                    // A hunter that just passed the job over holds the
+                    // lock until it waits, so it is waiting when the
+                    // notify lands.
+                    drop(shared.slot.lock().expect("pool lock"));
+                    for _ in 0..added {
+                        shared.work.notify_one();
+                    }
+                }
+            }));
+        }
         let ticket = JobTicket {
             shared: Arc::clone(&self.shared),
             job: Arc::new(PoolJob {
@@ -629,7 +613,11 @@ impl ExecutorPool {
                 let mut slot = self.shared.slot.lock().expect("pool lock");
                 slot.queue.push(Arc::clone(&ticket.job));
                 drop(slot);
-                self.shared.work.notify_all();
+                // One hunter per slot: a 1-worker job wakes one thread,
+                // not the whole pool.
+                for _ in 0..workers {
+                    self.shared.work.notify_one();
+                }
             }
         }
         ticket
@@ -727,11 +715,7 @@ impl JobTicket {
             claim_participation(&mut slot, &self.job)
         };
         if let Some(idx) = idx {
-            if participate(&self.job, idx) {
-                stand_down(&self.shared, &self.job);
-            } else {
-                leave(&self.shared, &self.job);
-            }
+            participate(&self.shared, &self.job, idx);
         }
         wait_finished(&self.shared, &self.job)
     }
@@ -783,30 +767,15 @@ fn pool_worker(shared: Arc<PoolShared>, me: usize) {
                 if slot.shutdown {
                     return;
                 }
-                let (claimed, skipped_collapsed) = claim_slot(&mut slot);
-                if let Some(claimed) = claimed {
+                if let Some(claimed) = claim_slot(&mut slot) {
                     break claimed;
                 }
-                // An empty queue blocks until notified; a queue holding
-                // only passed-over collapsed jobs is re-polled on a
-                // timeout, since nothing notifies when a cost estimate
-                // recovers.
-                slot = if skipped_collapsed {
-                    shared
-                        .work
-                        .wait_timeout(slot, std::time::Duration::from_millis(100))
-                        .expect("pool lock")
-                        .0
-                } else {
-                    shared.work.wait(slot).expect("pool lock")
-                };
+                // Woken by a submit, a barrier that raised a job's
+                // participant count, or shutdown.
+                slot = shared.work.wait(slot).expect("pool lock");
             }
         };
-        if participate(&job, idx) {
-            stand_down(&shared, &job);
-        } else {
-            leave(&shared, &job);
-        }
+        participate(&shared, &job, idx);
     }
 }
 
@@ -1033,9 +1002,9 @@ mod tests {
         let pool = ExecutorPool::detached(2);
         let registry = KernelRegistry::new();
         // A long, cheap job asking for the whole pool: both workers
-        // join while the telemetry is cold; within a few samples the
-        // EWMA classifies figure2's rate-only kernels fine-grained and
-        // the secondary stands down.
+        // join while the telemetry is cold; within a few iterations the
+        // barrier classifies figure2's rate-only kernels fine-grained
+        // and the secondary stands down.
         let long = pool
             .executor(
                 &graph,
@@ -1071,11 +1040,11 @@ mod tests {
     /// and collapses the job onto its first participant — the second
     /// pool worker stands down, or finds the job already collapsed and
     /// passes it over. Phase two (p = 2, entered through the binding
-    /// sequence) sleeps in every kernel: the estimate recovers within a
-    /// few samples and the hunt's bounded re-poll hands the freed slot
-    /// back. Without that, slot 1 ends the run with at most its
-    /// cold-start firings (a few dozen) and the heavy phase runs on one
-    /// worker.
+    /// sequence) sleeps in every kernel: the first heavy iteration's
+    /// barrier raises the participant count and wakes a hunter, which
+    /// takes the freed slot. Without that wake, slot 1 ends the run
+    /// with at most its cold-start firings (a few dozen) and the heavy
+    /// phase runs on one worker.
     #[test]
     fn collapsed_job_regains_a_worker_when_it_turns_heavy() {
         use std::time::Duration;

@@ -3,7 +3,8 @@
 //! *per-run* metrics (nothing accumulates across runs), and must carry
 //! the firing-cost EWMA across runs — a fine-grained graph classified
 //! in run 1 starts run 2 on the collapsed single-worker fast path
-//! without re-sampling from scratch. (That no run leaks an OS thread
+//! without re-sampling from scratch, and a heavy graph measured on
+//! short single-worker runs keeps its second worker. (That no run leaks an OS thread
 //! is asserted in `tests/thread_leaks.rs`, which owns its process.)
 //!
 //! CI matrix knobs:
@@ -233,4 +234,47 @@ fn telemetry_carries_over_and_collapses_run_two() {
          (pool EWMA after run 1: {learned} ns)"
     );
     assert_eq!(metrics2.iterations, 3);
+}
+
+/// Every firing of an iteration counts toward the cost estimate, so a
+/// run of cheap and heavy nodes is measured by its mean, not by
+/// whichever node happened to fire first. Figure 2 at `p = 1` with a
+/// free `A` and 50 µs `B`–`F` costs about 40 µs per firing; ten
+/// single-worker runs must leave an estimate that keeps a 2-thread run
+/// on both workers. (A sampler that times only each run's first firing
+/// — always the free `A` — reads well under a microsecond and collapses
+/// the 2-thread run.)
+#[test]
+fn short_single_worker_runs_measure_every_firing() {
+    fn spin(duration: std::time::Duration) {
+        let start = std::time::Instant::now();
+        while start.elapsed() < duration {
+            std::hint::spin_loop();
+        }
+    }
+    let graph = figure2_graph();
+    let pool = ExecutorPool::new(2);
+    let mut registry = KernelRegistry::new();
+    for node in ["B", "C", "D", "E", "F"] {
+        registry.register_fn(node, |ctx| {
+            spin(std::time::Duration::from_micros(50));
+            ctx.fill_outputs_from_inputs();
+            Ok(())
+        });
+    }
+    let single = pool
+        .executor(&graph, RuntimeConfig::new(binding(1)).with_threads(1))
+        .unwrap();
+    for _ in 0..10 {
+        assert_eq!(run(&pool, &single, &registry).effective_workers, 1);
+    }
+    let estimate = pool.sampled_firing_cost_ns().expect("ten runs measured");
+    let double = pool
+        .executor(&graph, RuntimeConfig::new(binding(1)).with_threads(2))
+        .unwrap();
+    assert_eq!(
+        run(&pool, &double, &registry).effective_workers,
+        2,
+        "a 50 µs graph must keep its second worker (estimate: {estimate} ns)"
+    );
 }

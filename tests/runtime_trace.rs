@@ -6,11 +6,11 @@
 //! monotone per-lane timestamps and balanced span nesting, and a stall
 //! error must carry the flight-recorder tail, bounded.
 //!
-//! CI matrix knob: `TPDF_TRACE_CAPACITY` — per-lane ring capacity
-//! (default 16384). Small values (e.g. 16) exercise the
-//! overwrite-oldest flight-recorder path: the invariants then relax to
-//! consistency (bounded event count, drops counted) instead of exact
-//! equality.
+//! Each invariant runs at two per-lane ring capacities: 16384, where
+//! nothing is overwritten and counts must match exactly, and 16, which
+//! exercises the overwrite-oldest flight-recorder path — the
+//! invariants then relax to consistency (bounded event count, drops
+//! counted) instead of exact equality.
 
 use std::sync::Arc;
 use tpdf_suite::core::examples::{figure2_graph, figure4_deadlocked_graph};
@@ -25,22 +25,18 @@ use tpdf_suite::trace::{json, ChromeLabels, EventKind, TraceLog};
 
 const ITERATIONS: u64 = 10;
 
-fn ring_capacity() -> usize {
-    std::env::var("TPDF_TRACE_CAPACITY")
-        .ok()
-        .and_then(|spec| spec.trim().parse().ok())
-        .filter(|&capacity| capacity > 0)
-        .unwrap_or(1 << 14)
-}
+/// Per-lane ring capacities every invariant is checked at: one that
+/// holds a whole scenario, one that overwrites constantly.
+const CAPACITIES: [usize; 2] = [1 << 14, 16];
 
 fn binding(p: i64) -> Binding {
     Binding::from_pairs([("p", p)])
 }
 
-/// Runs figure 2 under `threads` × `placement` with a fresh tracer and
-/// returns the merged log plus the run's metrics.
-fn traced_run(threads: usize, placement: PlacementPolicy) -> (TraceLog, Metrics, usize) {
-    let capacity = ring_capacity();
+/// Runs figure 2 under `threads` × `placement` with a fresh tracer of
+/// `capacity` events per lane and returns the merged log plus the
+/// run's metrics.
+fn traced_run(threads: usize, placement: PlacementPolicy, capacity: usize) -> (TraceLog, Metrics) {
     let tracer = Tracer::flight_recorder(threads, capacity);
     let config = RuntimeConfig::new(binding(2))
         .with_threads(threads)
@@ -52,14 +48,20 @@ fn traced_run(threads: usize, placement: PlacementPolicy) -> (TraceLog, Metrics,
         .expect("figure 2 compiles")
         .run(&KernelRegistry::new())
         .expect("figure 2 runs");
-    (tracer.collect(), metrics, capacity)
+    (tracer.collect(), metrics)
 }
 
 /// The merged trace agrees with the executor's own counters — exactly
-/// when nothing was overwritten, and boundedly when the CI matrix runs
-/// with a tiny flight-recorder capacity.
+/// when nothing was overwritten, and boundedly at a tiny
+/// flight-recorder capacity.
 fn check_firing_invariants(threads: usize, placement: PlacementPolicy) {
-    let (log, metrics, capacity) = traced_run(threads, placement);
+    for capacity in CAPACITIES {
+        check_firing_invariants_at(threads, placement, capacity);
+    }
+}
+
+fn check_firing_invariants_at(threads: usize, placement: PlacementPolicy, capacity: usize) {
+    let (log, metrics) = traced_run(threads, placement, capacity);
     let expected: u64 = metrics.firings.iter().sum();
     let traced = log.count(EventKind::Firing);
     let lanes = threads + 1;
@@ -143,8 +145,14 @@ fn disabled_tracer_records_nothing() {
 /// and firing counts matching the runs' `Metrics`.
 #[test]
 fn service_chrome_trace_validates() {
+    for capacity in CAPACITIES {
+        check_service_chrome_trace(capacity);
+    }
+}
+
+fn check_service_chrome_trace(capacity: usize) {
     let threads = 4;
-    let tracer = Tracer::flight_recorder(threads, ring_capacity());
+    let tracer = Tracer::flight_recorder(threads, capacity);
     let service = TpdfService::new(
         ServiceConfig::default()
             .with_threads(threads)
@@ -172,9 +180,9 @@ fn service_chrome_trace_validates() {
     }
     service.drain();
     let log = tracer.collect();
-    // At the default capacity the whole scenario fits and counts are
-    // exact; the CI small-capacity cell exercises overwrite instead,
-    // where the structural checks below still must hold.
+    // At the large capacity the whole scenario fits and counts are
+    // exact; the small one exercises overwrite instead, where the
+    // structural checks below still must hold.
     if log.dropped() == 0 {
         assert_eq!(log.count(EventKind::Firing), expected_firings);
         assert_eq!(log.count(EventKind::SessionOpen), 3);
