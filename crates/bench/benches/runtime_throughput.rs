@@ -9,10 +9,7 @@
 //! All steady-state groups run on a persistent [`ExecutorPool`]: the
 //! pool and executor are constructed once per configuration and only
 //! `submit(..).wait()` is timed, so the numbers track the
-//! claim/complete path with **zero per-run spawn cost**. The
-//! `figure2_affinity` group runs the same workload under
-//! `PlacementPolicy::Affinity(LoadBalanced)` — placement driven by
-//! `tpdf-manycore`'s mapper instead of free work stealing.
+//! claim/complete path with **zero per-run spawn cost**.
 //!
 //! Besides the usual console report, the bench writes a JSON summary to
 //! `BENCH_runtime_throughput.json` in the workspace root so the
@@ -23,8 +20,7 @@
 //! * `TPDF_BENCH_SMOKE=1` — few samples and iterations, and the JSON
 //!   summary is *not* rewritten (smoke numbers are noise);
 //! * `TPDF_BENCH_ENFORCE=1` — exit non-zero when 4-thread throughput
-//!   drops below 1-thread throughput on the Figure 2 graph (work
-//!   stealing *or* affinity), when the
+//!   drops below 1-thread throughput on the Figure 2 graph, when the
 //!   `figure2_traced` tracing-overhead cells exceed their bounds
 //!   (≤ 5% with the tracer disabled, ≤ 20% with the flight recorder
 //!   on, vs the untraced 4-thread cell), when the 1-thread runtime
@@ -59,13 +55,12 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpdf_apps::ofdm::OfdmConfig;
 use tpdf_core::examples::figure2_graph;
-use tpdf_manycore::MappingStrategy;
 use tpdf_net::ofdm::{run_records, wire_fed_ofdm};
 use tpdf_net::{NetApps, NetClient, NetConfig, NetServer};
 use tpdf_ops::{OpsConfig, OpsPlane};
 use tpdf_runtime::{
     Checkpoint, CompiledExecutor, Executor, ExecutorPool, KernelRegistry, PayloadEncoding,
-    PayloadRuntime, PlacementPolicy, RunOutcome, RunRequest, RuntimeConfig, Tracer,
+    PayloadRuntime, RunOutcome, RunRequest, RuntimeConfig, Tracer,
 };
 use tpdf_service::{ServiceConfig, SessionId, TpdfService};
 use tpdf_sim::engine::{SimulationConfig, Simulator};
@@ -189,23 +184,21 @@ fn run_on(
         .expect("run completes")
 }
 
-/// Benches one `(group id, placement)` pair across the thread counts
-/// on a persistent pool (constructed outside the timed loop).
+/// Benches one group id across the thread counts on a persistent pool
+/// (constructed outside the timed loop).
 fn bench_pooled_group(
     group: &mut criterion::BenchmarkGroup<'_>,
     graph: &tpdf_core::graph::TpdfGraph,
     binding: &Binding,
     registry: &KernelRegistry,
     id: &str,
-    placement: PlacementPolicy,
     iterations: u64,
 ) {
     for &threads in &THREAD_COUNTS {
         let pool = ExecutorPool::new(threads);
         let config = RuntimeConfig::new(binding.clone())
             .with_threads(threads)
-            .with_iterations(iterations)
-            .with_placement(placement);
+            .with_iterations(iterations);
         let compiled = pool.executor(graph, config).expect("executor").compile();
         group.bench_with_input(BenchmarkId::new(id, threads), &threads, |b, _| {
             b.iter(|| run_on(&pool, &compiled, registry, None, false))
@@ -223,24 +216,13 @@ fn bench_runtime(c: &mut Criterion) {
     group.sample_size(sample_size());
     group.throughput(Throughput::Elements(tokens));
 
-    // Steady-state pooled runs: work stealing and manycore-mapped
-    // affinity placement.
+    // Steady-state pooled runs.
     bench_pooled_group(
         &mut group,
         &graph,
         &binding,
         &registry,
         "figure2_threads",
-        PlacementPolicy::WorkStealing,
-        iterations(),
-    );
-    bench_pooled_group(
-        &mut group,
-        &graph,
-        &binding,
-        &registry,
-        "figure2_affinity",
-        PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
         iterations(),
     );
 
@@ -306,7 +288,6 @@ fn bench_runtime_weighted(c: &mut Criterion) {
         &binding,
         &registry,
         "figure2_weighted",
-        PlacementPolicy::WorkStealing,
         iterations_weighted(),
     );
     group.finish();
@@ -720,11 +701,10 @@ fn main() {
 
     if std::env::var_os("TPDF_BENCH_ENFORCE").is_some() {
         let samples = criterion.samples();
-        // 15% epsilon on the two scheduler guards: on fine-grained
-        // graphs the scheduler deliberately collapses to one worker
-        // whatever the configured pool or placement, so the compared
-        // measurements run near-identical code and differ only by
-        // bench noise — measured at up to ±10% on busy single-core CI
+        // 15% epsilon on the scheduler guard: on fine-grained graphs
+        // the scheduler deliberately collapses to one worker whatever
+        // the configured pool, so the compared measurements run
+        // near-identical code and differ only by bench noise — measured at up to ±10% on busy single-core CI
         // hosts even with interquartile trimming. The regression
         // these guard against (a scheduler that *loses* throughput as
         // threads are added, like the pre-sharding global lock: -28%
@@ -735,13 +715,6 @@ fn main() {
             "runtime_throughput/figure2_threads/1",
             0.85,
             "4-thread/1-thread scaling (work stealing)",
-        );
-        enforce_ratio(
-            samples,
-            "runtime_throughput/figure2_affinity/4",
-            "runtime_throughput/figure2_affinity/1",
-            0.85,
-            "4-thread/1-thread scaling (affinity)",
         );
         // Tracing overhead bounds: a *disabled* tracer must cost at
         // most 5% (one relaxed load and a branch per site), the live

@@ -667,10 +667,9 @@ fn float_inputs(ctx: &crate::kernel::FiringContext) -> Result<Vec<f64>, RuntimeE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Executor, PlacementPolicy, RunRequest, RuntimeConfig};
+    use crate::executor::{Executor, RunRequest, RuntimeConfig};
     use crate::metrics::Metrics;
     use crate::pool::ExecutorPool;
-    use tpdf_manycore::MappingStrategy;
     use tpdf_sim::engine::ControlPolicy;
     use tpdf_symexpr::Binding;
 
@@ -680,14 +679,6 @@ mod tests {
             .wait()
             .expect("run completes")
             .metrics
-    }
-
-    /// Both placement policies, for the case-study matrix below.
-    fn placements() -> [PlacementPolicy; 2] {
-        [
-            PlacementPolicy::WorkStealing,
-            PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
-        ]
     }
 
     #[test]
@@ -805,33 +796,27 @@ mod tests {
         assert_eq!(&audio[expected.len()..], expected.as_slice());
     }
 
-    /// All three case studies, both placement policies, on a shared
-    /// persistent pool: affinity placement (driven by the manycore
-    /// mapper) must reproduce the exact same pixels, bits and audio as
-    /// work stealing — placement changes the schedule, never the
-    /// result.
+    /// All three case studies, one after another on a shared
+    /// persistent 4-worker pool, reproduce their reference pixels, bits
+    /// and audio — the schedule varies from run to run, the result
+    /// never does.
     #[test]
-    fn case_studies_agree_under_both_placements() {
+    fn case_studies_agree_on_a_shared_pool() {
         let pool = ExecutorPool::new(4);
 
         // Edge detection: identical edge maps.
         let edge =
             EdgeDetectionRuntime::new(EdgeDetectionApp::default(), GrayImage::synthetic(32, 32, 5));
         let edge_graph = edge.graph();
-        for placement in placements() {
-            let (registry, capture) = edge.registry(None);
-            let config = RuntimeConfig::new(Binding::new())
-                .with_threads(4)
-                .with_placement(placement);
-            let executor = pool.executor(&edge_graph, config).unwrap();
-            let metrics = run(&pool, &executor, &registry);
-            assert_eq!(metrics.placement, placement);
-            assert_eq!(
-                capture.images(),
-                vec![edge.reference_edges(EdgeDetector::Canny)],
-                "edge detection under {placement:?}"
-            );
-        }
+        let (registry, capture) = edge.registry(None);
+        let config = RuntimeConfig::new(Binding::new()).with_threads(4);
+        let executor = pool.executor(&edge_graph, config).unwrap();
+        run(&pool, &executor, &registry);
+        assert_eq!(
+            capture.images(),
+            vec![edge.reference_edges(EdgeDetector::Canny)],
+            "edge detection"
+        );
 
         // OFDM: identical (error-free) bit streams, identical modes.
         let ofdm = OfdmRuntime::new(
@@ -844,35 +829,25 @@ mod tests {
             31,
         );
         let ofdm_graph = ofdm.graph();
-        for placement in placements() {
-            let (registry, capture) = ofdm.registry();
-            let config = RuntimeConfig::new(ofdm.config().binding())
-                .with_threads(4)
-                .with_placement(placement)
-                .with_mode_selector(ofdm.mode_selector())
-                .with_value_trace(ofdm.value_trace());
-            let executor = pool.executor(&ofdm_graph, config).unwrap();
-            run(&pool, &executor, &registry);
-            assert_eq!(capture.bits(), ofdm.sent_bits(), "OFDM under {placement:?}");
-        }
+        let (registry, capture) = ofdm.registry();
+        let config = RuntimeConfig::new(ofdm.config().binding())
+            .with_threads(4)
+            .with_mode_selector(ofdm.mode_selector())
+            .with_value_trace(ofdm.value_trace());
+        let executor = pool.executor(&ofdm_graph, config).unwrap();
+        run(&pool, &executor, &registry);
+        assert_eq!(capture.bits(), ofdm.sent_bits(), "OFDM");
 
         // FM radio: identical audio per selected band.
         let radio = FmRadioRuntime::new(FmRadioConfig { bands: 3, block: 8 }, 3);
         let radio_graph = radio.graph();
-        for placement in placements() {
-            let (registry, capture) = radio.registry();
-            let config = RuntimeConfig::new(radio.binding())
-                .with_threads(4)
-                .with_placement(placement)
-                .with_policy(ControlPolicy::SelectInput(1));
-            let executor = pool.executor(&radio_graph, config).unwrap();
-            run(&pool, &executor, &registry);
-            assert_eq!(
-                capture.floats(),
-                radio.reference_audio(1),
-                "FM radio under {placement:?}"
-            );
-        }
+        let (registry, capture) = radio.registry();
+        let config = RuntimeConfig::new(radio.binding())
+            .with_threads(4)
+            .with_policy(ControlPolicy::SelectInput(1));
+        let executor = pool.executor(&radio_graph, config).unwrap();
+        run(&pool, &executor, &registry);
+        assert_eq!(capture.floats(), radio.reference_audio(1), "FM radio");
     }
 
     #[test]

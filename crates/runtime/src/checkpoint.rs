@@ -182,8 +182,8 @@ pub struct Checkpoint {
     pub iteration: u64,
     /// Structural fingerprint of the graph (node names + channel
     /// topology), checked on restore. Deliberately excludes ring
-    /// capacities, firing counts, thread count and placement: those may
-    /// all differ between the checkpointing and the restoring executor
+    /// capacities, firing counts and thread count: those may all
+    /// differ between the checkpointing and the restoring executor
     /// without affecting the streams.
     pub fingerprint: u64,
     /// Per-node control-actor ordinals (how many times each node's
@@ -342,7 +342,6 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::PlacementPolicy;
     use crate::token::TokenBytes;
     use std::sync::Arc;
     use std::time::Duration;
@@ -354,7 +353,6 @@ mod tests {
             iterations: 0,
             threads: 1,
             effective_workers: 1,
-            placement: PlacementPolicy::WorkStealing,
             firings: Vec::new(),
             tokens_pushed: Vec::new(),
             channel_high_water: Vec::new(),
@@ -369,7 +367,6 @@ mod tests {
             worker_firings: Vec::new(),
             worker_steals: Vec::new(),
             rebinds: Vec::new(),
-            pinned_cores: Vec::new(),
             arena_hits: 0,
             arena_misses: 0,
             arena_recycled: 0,

@@ -2,7 +2,7 @@
 //! execute → publish pipeline they share.
 
 use super::state::RunState;
-use super::{mode_code, ClockMode, Engine, AFFINITY_STEAL_THRESHOLD};
+use super::{mode_code, ClockMode, Engine};
 use crate::arena::{ArenaStats, SlabArena};
 use crate::kernel::{
     fire_default, fire_select_duplicate, fire_transaction, FiringContext, KernelRegistry,
@@ -159,12 +159,7 @@ impl Engine {
         start: Instant,
     ) -> bool {
         let real_time = matches!(self.config.clock_mode, ClockMode::RealTime { .. });
-        let affinity = self.config.placement.is_affinity();
         let mut scratch = FireScratch::default();
-        // Consecutive empty hunts; under affinity placement, crossing
-        // the boundary (foreign-queue steals, foreign-node scan fires)
-        // requires `starved >= AFFINITY_STEAL_THRESHOLD`.
-        let mut starved: u32 = 0;
         let stood_down = loop {
             if state.halt.load(Ordering::SeqCst) {
                 break false;
@@ -193,11 +188,9 @@ impl Engine {
             // that an attempt racing with the hunt below is detectable
             // when parking.
             let seen = state.progress.load(Ordering::SeqCst);
-            let steal_ok = !affinity || starved >= AFFINITY_STEAL_THRESHOLD;
-            // 3. Ready-queue hint: own queue first; foreign queues only
-            //    when stealing is allowed.
-            if let Some((node, stolen)) = self.next_hint(state, me, steal_ok) {
-                if self.try_fire(
+            // 3. Ready-queue hint: own queue first, then steal.
+            if let Some((node, stolen)) = self.next_hint(state, me) {
+                self.try_fire(
                     state,
                     me,
                     node,
@@ -206,18 +199,11 @@ impl Engine {
                     start,
                     real_time,
                     &mut scratch,
-                ) {
-                    starved = 0;
-                }
+                );
                 continue;
             }
-            // 4. Fallback scan: own (home) nodes always; every node
-            //    once stealing is allowed.
-            let workers = state.queues.len();
+            // 4. Fallback scan over every node.
             let fired = self.scan_order.iter().any(|&node| {
-                if !steal_ok && !self.is_home(state, node, me, workers) {
-                    return false;
-                }
                 self.try_fire(
                     state,
                     me,
@@ -230,16 +216,6 @@ impl Engine {
                 )
             });
             if fired {
-                starved = 0;
-                continue;
-            }
-            starved = starved.saturating_add(1);
-            if !steal_ok {
-                // Not yet starved enough to cross the affinity
-                // boundary: yield and hunt again instead of parking —
-                // the park path's stall verdict requires a full scan,
-                // which this hunt deliberately was not.
-                std::thread::yield_now();
                 continue;
             }
             // 5. Nothing claimable anywhere: park (or report a stall).
@@ -310,32 +286,18 @@ impl Engine {
         state.flush_arena(scratch.arena.stats());
     }
 
-    /// Whether `node`'s home worker is `me` under the active plan's
-    /// affinity mapping (always true under work stealing, where every
-    /// worker is at home everywhere).
-    fn is_home(&self, state: &RunState, node: usize, me: usize, workers: usize) -> bool {
-        let home = &self.plans[state.plan.load(Ordering::Relaxed)].home;
-        if home.is_empty() {
-            return true;
-        }
-        home[node] % workers.max(1) == me
-    }
-
-    /// Pops a ready hint: own queue front first, then — when `steal_ok`
-    /// — steal from the other workers' queues. The second tuple field
-    /// reports whether the hint was stolen.
+    /// Pops a ready hint: own queue front first, then steal from the
+    /// other workers' queues. The second tuple field reports whether
+    /// the hint was stolen.
     ///
     /// Steals take *half* the victim's queue, not one entry: per-hint
     /// ping-pong between two workers would serialise them on the queue
     /// locks, while batch stealing lets both drain local work and only
     /// meet again every ~k firings.
-    fn next_hint(&self, state: &RunState, me: usize, steal_ok: bool) -> Option<(usize, bool)> {
+    fn next_hint(&self, state: &RunState, me: usize) -> Option<(usize, bool)> {
         if let Some(node) = state.queues[me].lock().expect("queue lock").pop_front() {
             state.nodes[node].queued.store(false, Ordering::Release);
             return Some((node, false));
-        }
-        if !steal_ok {
-            return None;
         }
         let workers = state.queues.len();
         for offset in 1..workers {
@@ -387,10 +349,7 @@ impl Engine {
         }
         self.attempt(state, me, node, scratch, |scratch| {
             let claim = self.try_claim_node(state, node, real_time, scratch)?;
-            // A boundary crossing: a hint stolen from a foreign queue,
-            // or (under affinity) a foreign-home node fired by a
-            // starved worker.
-            if stolen || !self.is_home(state, node, me, state.queues.len()) {
+            if stolen {
                 state.worker_steals[me].fetch_add(1, Ordering::Relaxed);
                 if let Some(tracer) = self.trace() {
                     tracer.event(me, EventKind::Steal, state.trace_job, node as u64, 0, 0);
@@ -875,26 +834,18 @@ impl Engine {
         surplus
     }
 
-    /// Enqueues the nodes whose readiness may have changed
-    /// (deduplicated through the per-node `queued` flag). Under work
-    /// stealing every hint lands on this worker's own queue; under
-    /// affinity placement each hint is routed to its *home worker's*
-    /// queue, so placement follows the analysis-side mapping instead of
-    /// whichever worker happened to complete the neighbour.
+    /// Enqueues the nodes whose readiness may have changed onto this
+    /// worker's own queue (deduplicated through the per-node `queued`
+    /// flag); idle peers steal from it.
     ///
-    /// Returns `true` when the hints exceed what this worker will
-    /// immediately consume itself — more than one hint on its own
-    /// queue, or any hint routed to a foreign home — the signal that
-    /// waking a parked peer is worthwhile.
+    /// Returns `true` when the queue holds more than this worker will
+    /// immediately consume itself — more than one hint — the signal
+    /// that waking a parked peer is worthwhile.
     fn enqueue_candidates(&self, state: &RunState, me: usize, node: usize) -> bool {
         let real_time = matches!(self.config.clock_mode, ClockMode::RealTime { .. });
-        let workers = state.queues.len();
-        let home = &self.plans[state.plan.load(Ordering::Relaxed)].home;
-        let mut own_hints = 0usize;
-        let mut foreign_hints = false;
-        // The common case routes every hint to one queue; holding the
-        // guard across the loop would serialise against that queue's
-        // owner, so each push takes the lock for exactly one entry.
+        let mut queued = 0usize;
+        // Holding the guard across the loop would serialise against
+        // thieves, so each push takes the lock for exactly one entry.
         for &cand in &self.nodes[node].neighbors {
             if real_time && self.nodes[cand].is_clock {
                 continue;
@@ -909,19 +860,10 @@ impl Engine {
             {
                 continue;
             }
-            let target = if home.is_empty() {
-                me
-            } else {
-                home[cand] % workers.max(1)
-            };
-            let mut queue = state.queues[target].lock().expect("queue lock");
+            let mut queue = state.queues[me].lock().expect("queue lock");
             queue.push_back(cand);
-            if target == me {
-                own_hints = queue.len();
-            } else {
-                foreign_hints = true;
-            }
+            queued = queue.len();
         }
-        foreign_hints || own_hints > 1
+        queued > 1
     }
 }

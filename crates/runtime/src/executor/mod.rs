@@ -92,7 +92,6 @@ use std::time::Duration;
 use tpdf_core::control::{ModeSelector, ValueTrace};
 use tpdf_core::graph::TpdfGraph;
 use tpdf_core::mode::Mode;
-use tpdf_manycore::{Mapping, MappingStrategy};
 use tpdf_sim::engine::{ControlPolicy, SimulationConfig};
 use tpdf_symexpr::Binding;
 use tpdf_trace::Tracer;
@@ -108,50 +107,6 @@ use plan::{ChanInfo, NodeInfo, Plan};
 use stall::ProgressBeacon;
 pub use stall::{ProgressSnapshot, STALL_DUMP_EVENTS};
 pub(crate) use state::RunState;
-
-/// How firings are placed onto worker threads.
-///
-/// Placement is a *performance* policy, never a semantic one: by the
-/// Kahn-style determinacy argument (each node is sequential with
-/// itself, each channel is SPSC, a firing's ordinal fixes its rates and
-/// mode), token streams and mode sequences are identical under every
-/// placement — which `tests/runtime_vs_sim_prop.rs` asserts rather
-/// than assumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Any worker fires any ready node; completions enqueue hints onto
-    /// the completing worker's queue and idle workers steal freely.
-    #[default]
-    WorkStealing,
-    /// Drive the runtime from `tpdf-manycore`'s analysis-side mapping:
-    /// each node is pinned to a *home worker* derived from
-    /// [`tpdf_manycore::map_graph`] under the given strategy (one
-    /// cluster per worker thread, workloads = repetition count ×
-    /// execution time). Workers prefer their own ready queue and own
-    /// nodes, and only cross the affinity boundary — stealing foreign
-    /// hints or firing foreign nodes — after
-    /// [`AFFINITY_STEAL_THRESHOLD`] consecutive empty hunts. Under a
-    /// binding sequence each phase's [`Plan`] carries its own rebound
-    /// mapping (repetition counts change with the binding, so the
-    /// workloads and therefore the pinning do too), re-pinned at the
-    /// iteration barrier along with the plan switch.
-    Affinity(MappingStrategy),
-}
-
-impl PlacementPolicy {
-    /// Whether this policy pins nodes to home workers.
-    pub fn is_affinity(&self) -> bool {
-        matches!(self, PlacementPolicy::Affinity(_))
-    }
-}
-
-/// Consecutive empty work hunts after which an affinity-placed worker
-/// is considered *starved* and allowed to cross the boundary: steal
-/// hints from foreign queues and fire foreign-home nodes. Small on
-/// purpose — affinity is a preference that must never cost liveness,
-/// and a starved worker yields (not parks) below the threshold, so the
-/// crossing decision is made within microseconds.
-pub(crate) const AFFINITY_STEAL_THRESHOLD: u32 = 2;
 
 /// How [`KernelKind::Clock`](tpdf_core::actors::KernelKind::Clock) watchdogs are driven.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,8 +155,6 @@ pub struct RuntimeConfig {
     /// capacities in place. Empty means every iteration uses the base
     /// binding.
     pub binding_sequence: Vec<Binding>,
-    /// How firings are placed onto workers (see [`PlacementPolicy`]).
-    pub placement: PlacementPolicy,
     /// Number of worker threads.
     pub threads: usize,
     /// Complete graph iterations to execute.
@@ -240,7 +193,6 @@ impl RuntimeConfig {
             mode_selector: None,
             value_trace: None,
             binding_sequence: Vec::new(),
-            placement: PlacementPolicy::WorkStealing,
             threads: 4,
             iterations: 1,
             clock_mode: ClockMode::Virtual,
@@ -319,12 +271,6 @@ impl RuntimeConfig {
     /// iterations and needs the whole run simulated.
     fn constant_mode_sequence(&self) -> bool {
         self.mode_selector.is_none() && !matches!(self.control_policy, ControlPolicy::Alternate(_))
-    }
-
-    /// Sets the placement policy (see [`PlacementPolicy`]).
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
     }
 
     /// Sets the worker thread count (at least 1).
@@ -571,17 +517,6 @@ impl<'g> Executor<'g> {
         &self.engine.plans[self.engine.phase_of(iteration)].counts
     }
 
-    /// The node-to-cluster mapping iteration `k` runs under, when the
-    /// placement policy is [`PlacementPolicy::Affinity`] (`None` under
-    /// work stealing). Phases of a binding sequence are mapped
-    /// independently — repetition counts change with the binding, so
-    /// the workloads and the pinning do too.
-    pub fn mapping_for_iteration(&self, iteration: u64) -> Option<&Mapping> {
-        self.engine.plans[self.engine.phase_of(iteration)]
-            .mapping
-            .as_ref()
-    }
-
     /// The current firing-cost estimate in nanoseconds: an EWMA
     /// (α = 1/8) over the iterations of every `run` on this executor,
     /// each measured at its barrier as wall time × participants ÷
@@ -638,7 +573,7 @@ impl<'g> Executor<'g> {
     /// and metric prefixes from `checkpoint` and executes the remaining
     /// iterations. The resulting sink streams, mode sequences and
     /// firing counts are byte-identical to a run that never stopped —
-    /// across thread counts and placement policies.
+    /// across thread counts.
     ///
     /// # Errors
     ///

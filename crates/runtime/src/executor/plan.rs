@@ -3,14 +3,13 @@
 //! [`Plan`] per phase of the binding sequence.
 
 use super::stall::ProgressBeacon;
-use super::{CostTelemetry, Engine, PlacementPolicy, RuntimeConfig};
+use super::{CostTelemetry, Engine, RuntimeConfig};
 use crate::RuntimeError;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tpdf_core::actors::KernelKind;
 use tpdf_core::control::ModeSelector;
 use tpdf_core::graph::{NodeId, TpdfGraph};
-use tpdf_manycore::{map_graph, node_workloads, Mapping, Platform};
 use tpdf_sim::engine::Simulator;
 use tpdf_symexpr::Binding;
 
@@ -72,16 +71,6 @@ pub(super) struct Plan {
     pub(super) cons_rates: Vec<Vec<u64>>,
     /// Ring capacities this phase requires (indexed by channel).
     pub(super) capacities: Vec<u64>,
-    /// Under [`PlacementPolicy::Affinity`]: the `tpdf-manycore` mapping
-    /// of this phase (workloads = this phase's repetition counts ×
-    /// execution times, one cluster per configured worker). `None`
-    /// under work stealing.
-    pub(super) mapping: Option<Mapping>,
-    /// Node → home worker derived from `mapping` (empty under work
-    /// stealing). Indexed by node; values are `< config.threads` and
-    /// reduced mod the actual worker count at use sites, so a pooled
-    /// run with fewer workers stays in bounds.
-    pub(super) home: Vec<usize>,
 }
 
 impl Plan {
@@ -240,26 +229,6 @@ impl Engine {
                 prod_rates.push(concretise(&chan.production)?);
                 cons_rates.push(concretise(&chan.consumption)?);
             }
-            // Affinity placement: map this phase's workload onto one
-            // cluster per worker thread with `tpdf-manycore`'s mapper,
-            // and pin every node to the worker of its cluster. Each
-            // phase is mapped independently — a rebind changes the
-            // repetition counts, hence the workloads, hence the homes.
-            let (mapping, home) = match &config.placement {
-                PlacementPolicy::WorkStealing => (None, Vec::new()),
-                PlacementPolicy::Affinity(strategy) => {
-                    let workloads = node_workloads(graph, &counts);
-                    let platform = Platform::mppa_like(config.threads.max(1), 1, 0);
-                    let mapping = map_graph(graph, &platform, *strategy, &workloads)
-                        .map_err(|e| RuntimeError::Analysis(e.to_string()))?;
-                    let home: Vec<usize> = mapping
-                        .clusters()
-                        .iter()
-                        .map(|c| c.0 % config.threads.max(1))
-                        .collect();
-                    (Some(mapping), home)
-                }
-            };
             let mut plan = Plan {
                 binding: binding.clone(),
                 total_per_iter: counts.iter().sum(),
@@ -267,8 +236,6 @@ impl Engine {
                 prod_rates,
                 cons_rates,
                 capacities: Vec::new(),
-                mapping,
-                home,
             };
             // The reference high-water of this phase: the whole-run
             // marks for the single-phase case, the maximum over the
@@ -326,7 +293,12 @@ impl Engine {
         };
         let cost_units = plans
             .iter()
-            .map(|plan| node_workloads(graph, &plan.counts).iter().sum())
+            .map(|plan| {
+                graph
+                    .nodes()
+                    .map(|(id, n)| plan.counts[id.0] * n.execution_time.max(1))
+                    .sum()
+            })
             .max()
             .unwrap_or(0);
         let min_clock_period = nodes

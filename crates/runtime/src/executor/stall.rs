@@ -202,16 +202,7 @@ impl Engine {
         state.progress.fetch_add(COMMIT - OPEN, Ordering::SeqCst);
         if surplus && state.parked.load(Ordering::SeqCst) > 0 {
             drop(state.park.lock().expect("park lock"));
-            if self.config.placement.is_affinity() {
-                // A hint may have been routed to a specific parked home
-                // worker; notify_one could wake a different one, which
-                // would yield through its starvation window before
-                // crossing the boundary. Waking everyone lets the home
-                // worker claim its hint immediately.
-                state.cond.notify_all();
-            } else {
-                state.cond.notify_one();
-            }
+            state.cond.notify_one();
         }
         true
     }

@@ -108,15 +108,11 @@ pub(crate) struct RunState {
     /// pool can wake that many hunting workers.
     pub(crate) on_widen: Option<Box<dyn Fn(usize) + Send + Sync>>,
     /// Per-worker ready queues (hints, not obligations: a stale entry
-    /// is simply dropped when its claim fails). Under affinity
-    /// placement, completions route each hint to the *home worker's*
-    /// queue instead of the completing worker's.
+    /// is simply dropped when its claim fails).
     pub(super) queues: Vec<Mutex<VecDeque<usize>>>,
     /// Firings completed per worker (indexed like `queues`).
     pub(super) worker_firings: Vec<AtomicU64>,
-    /// Firings a worker acquired across the placement boundary: hints
-    /// popped from a foreign queue (work stealing) or foreign-home
-    /// nodes fired while starved (affinity).
+    /// Hints each worker stole from a foreign queue and fired.
     pub(super) worker_steals: Vec<AtomicU64>,
     /// Modes emitted per node, one entry per firing. Only the claim
     /// holder of a node appends (firings of one node are serialised),
@@ -443,8 +439,8 @@ impl Engine {
     /// A structural fingerprint of the graph this engine executes: node
     /// names plus channel topology (label, endpoints, control flag,
     /// initial tokens), hashed with the codec's FNV-1a.
-    /// Deliberately *excludes* iteration count, thread count, placement
-    /// and ring capacities — a checkpoint may be restored under any of
+    /// Deliberately *excludes* iteration count, thread count and ring
+    /// capacities — a checkpoint may be restored under any of
     /// those varying (Kahn determinacy keeps the streams identical);
     /// what it must never be restored into is a different graph.
     pub(crate) fn fingerprint(&self) -> u64 {
@@ -561,7 +557,6 @@ impl Engine {
             iterations: state.iteration.load(Ordering::Relaxed),
             threads: self.config.threads,
             effective_workers,
-            placement: self.config.placement,
             firings,
             tokens_pushed,
             channel_high_water,
@@ -592,8 +587,6 @@ impl Engine {
                 .map(|w| w.load(Ordering::Relaxed))
                 .collect(),
             rebinds: state.rebinds.lock().expect("no worker may panic").clone(),
-            // The pool's finaliser fills in its pinning record.
-            pinned_cores: Vec::new(),
             arena_hits: state.arena_hits.load(Ordering::Relaxed),
             arena_misses: state.arena_misses.load(Ordering::Relaxed),
             arena_recycled: state.arena_recycled.load(Ordering::Relaxed),

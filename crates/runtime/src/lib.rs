@@ -11,7 +11,7 @@
 //! | [`ring`] | [`ring::RingBuffer`]: lock-free SPSC channel rings with batch slab transfer, sized from `tpdf-sim` buffer analysis |
 //! | [`arena`] | [`arena::SlabArena`]: per-worker recycled firing slabs, bucketed by capacity class — what makes a steady-state firing allocation-free |
 //! | [`kernel`] | [`kernel::KernelBehavior`] / [`kernel::KernelRegistry`]: what each node computes, plus built-in Select-Duplicate, Transaction-with-vote and default semantics |
-//! | [`executor`] | [`executor::Executor`] / [`executor::CompiledExecutor`]: the sharded scheduler (per-node atomic claims, per-worker ready queues with stealing or manycore-mapped affinity placement — [`executor::PlacementPolicy`]) with control-token mode switching and real-deadline [`tpdf_core::KernelKind::Clock`] watchdogs; [`executor::RunRequest`] / [`executor::RunOutcome`], the one request and outcome of a run |
+//! | [`executor`] | [`executor::Executor`] / [`executor::CompiledExecutor`]: the sharded scheduler (per-node atomic claims, per-worker ready queues with work stealing) with control-token mode switching and real-deadline [`tpdf_core::KernelKind::Clock`] watchdogs; [`executor::RunRequest`] / [`executor::RunOutcome`], the one request and outcome of a run |
 //! | [`pool`] | [`pool::ExecutorPool`]: the one way to run a graph — [`pool::ExecutorPool::submit`] takes a `RunRequest` (fresh or resumed from a [`checkpoint::Checkpoint`], optionally cut at the final barrier) onto a persistent worker pool: threads spawned once, parked between runs, telemetry carried across runs |
 //! | [`checkpoint`] | [`checkpoint::Checkpoint`]: the barrier-consistent cut of a run and its `TPDC` byte format |
 //! | [`codec`] | the one envelope (magic, version, tagged fields, FNV-1a checksum), token list writer/reader and bounds-checked [`codec::Reader`] under both `TPDC` checkpoints and `tpdf-net`'s `TPDN` frames |
@@ -86,7 +86,6 @@ pub mod codec;
 pub mod executor;
 pub mod kernel;
 pub mod metrics;
-mod pinning;
 pub mod pool;
 pub mod ring;
 mod snapshot;
@@ -99,8 +98,7 @@ pub use cases::{
 };
 pub use checkpoint::{ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError};
 pub use executor::{
-    ClockMode, CompiledExecutor, Executor, PlacementPolicy, ProgressSnapshot, RunOutcome,
-    RunRequest, RuntimeConfig,
+    ClockMode, CompiledExecutor, Executor, ProgressSnapshot, RunOutcome, RunRequest, RuntimeConfig,
 };
 pub use kernel::{FiringContext, KernelBehavior, KernelRegistry};
 pub use metrics::{DeadlineSelection, Metrics, RebindEvent};

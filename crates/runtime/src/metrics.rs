@@ -1,6 +1,5 @@
 //! Execution statistics reported by the runtime.
 
-use crate::executor::PlacementPolicy;
 use std::time::Duration;
 use tpdf_core::graph::{ChannelId, NodeId, TpdfGraph};
 use tpdf_core::mode::Mode;
@@ -59,8 +58,6 @@ pub struct Metrics {
     /// Within those slots, each iteration barrier re-decides how many
     /// participants the next iteration runs with.
     pub effective_workers: usize,
-    /// The placement policy the run executed under.
-    pub placement: PlacementPolicy,
     /// Total firings of each node (indexed by [`NodeId`]).
     pub firings: Vec<u64>,
     /// Tokens pushed onto each channel (indexed by [`ChannelId`]);
@@ -95,20 +92,12 @@ pub struct Metrics {
     /// Firings completed by each worker (indexed by worker; length =
     /// [`Metrics::effective_workers`]).
     pub worker_firings: Vec<u64>,
-    /// Firings each worker acquired across the placement boundary:
-    /// hints popped from a foreign queue under
-    /// [`PlacementPolicy::WorkStealing`], plus foreign-home nodes fired
-    /// by a starved worker under [`PlacementPolicy::Affinity`].
+    /// Firings each worker took by stealing a hint from a foreign
+    /// ready queue.
     pub worker_steals: Vec<u64>,
     /// Every parameter rebinding applied at an iteration barrier, in
     /// iteration order (empty without a binding sequence).
     pub rebinds: Vec<RebindEvent>,
-    /// Core-pinning outcome of the pool the run executed on, indexed by
-    /// *pool* worker (not per-job participant): `Some(core)` for a
-    /// worker the `core-pinning` feature pinned to a CPU core, `None`
-    /// for an unpinned worker (the calling thread of a non-detached
-    /// pool is never pinned).
-    pub pinned_cores: Vec<Option<usize>>,
     /// Slab-arena requests served from a worker freelist without
     /// touching the allocator, summed over all workers.
     pub arena_hits: u64,
@@ -162,7 +151,6 @@ mod tests {
             iterations: 2,
             threads: 4,
             effective_workers: 4,
-            placement: PlacementPolicy::WorkStealing,
             firings: vec![4, 8, 4, 4, 8, 8],
             tokens_pushed: vec![10; 7],
             channel_high_water: vec![4; 7],
@@ -177,7 +165,6 @@ mod tests {
             worker_firings: vec![9, 9, 9, 9],
             worker_steals: vec![0; 4],
             rebinds: Vec::new(),
-            pinned_cores: Vec::new(),
             arena_hits: 30,
             arena_misses: 6,
             arena_recycled: 30,

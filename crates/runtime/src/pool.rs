@@ -69,22 +69,11 @@
 //! into [`RuntimeError::KernelFailed`] and the job halts. The thread
 //! survives and every other job's state is untouched — which the
 //! service stress suite asserts across concurrent sessions.
-//!
-//! ## Core pinning
-//!
-//! With the `core-pinning` feature on Linux, every spawned pool worker
-//! pins itself to a CPU core — worker `n` takes the `n`-th core of the
-//! thread's *allowed* set (wrapping), so cpuset/taskset restrictions
-//! are honoured — before entering the hunt, making
-//! `tpdf_manycore::Platform`'s one-PE-per-worker model physical. The
-//! outcome is recorded per pool worker and attached to every run's
-//! [`Metrics::pinned_cores`](crate::metrics::Metrics::pinned_cores).
 
 use crate::executor::{
     CompiledExecutor, CostTelemetry, Engine, Executor, RunOutcome, RunRequest, RunState,
 };
 use crate::kernel::KernelRegistry;
-use crate::pinning::pin_to_nth_allowed_core;
 use crate::RuntimeError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -141,8 +130,6 @@ struct PoolSlot {
     /// leaves the queue when its last slot is claimed or when it is
     /// finalised, whichever comes first; a stand-down re-queues it.
     queue: Vec<Arc<PoolJob>>,
-    /// Spawned workers that completed their startup handshake.
-    started: usize,
     shutdown: bool,
 }
 
@@ -150,12 +137,8 @@ struct PoolShared {
     slot: Mutex<PoolSlot>,
     /// Workers wait here for new jobs (or shutdown).
     work: Condvar,
-    /// Completion events: job finalised, worker started.
+    /// Completion events: job finalised.
     done: Condvar,
-    /// Core each spawned pool worker pinned itself to, indexed by pool
-    /// worker id (`None` = unpinned; the calling thread of a
-    /// non-detached pool is never pinned).
-    pinned: Mutex<Vec<Option<usize>>>,
 }
 
 /// Whether `job` takes another participant now: `joined` is below the
@@ -271,8 +254,7 @@ fn finalize_job(shared: &PoolShared, job: &Arc<PoolJob>) {
     let result = job
         .engine
         .collect_metrics(&job.state, elapsed, job.workers)
-        .map(|mut metrics| {
-            metrics.pinned_cores = shared.pinned.lock().expect("pinning lock").clone();
+        .map(|metrics| {
             let checkpoint = job
                 .checkpoint_at_end
                 .then(|| job.engine.capture_checkpoint(&job.state, &metrics));
@@ -418,7 +400,6 @@ impl ExecutorPool {
             slot: Mutex::new(PoolSlot::default()),
             work: Condvar::new(),
             done: Condvar::new(),
-            pinned: Mutex::new(vec![None; threads]),
         });
         let first = if detached { 0 } else { 1 };
         let handles: Vec<JoinHandle<()>> = (first..threads)
@@ -426,19 +407,10 @@ impl ExecutorPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("tpdf-pool-{me}"))
-                    .spawn(move || pool_worker(shared, me))
+                    .spawn(move || pool_worker(shared))
                     .expect("spawn pool worker")
             })
             .collect();
-        // Startup handshake: wait until every spawned worker recorded
-        // its pinning outcome, so `pinned_cores` is deterministic from
-        // the first run on.
-        {
-            let mut slot = shared.slot.lock().expect("pool lock");
-            while slot.started < handles.len() {
-                slot = shared.done.wait(slot).expect("pool lock");
-            }
-        }
         ExecutorPool {
             shared,
             handles,
@@ -473,14 +445,6 @@ impl ExecutorPool {
     /// [`ExecutorPool::detached`] one.
     pub fn spawned_workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Core-pinning outcome per pool worker (`Some(core)` where the
-    /// `core-pinning` feature pinned the worker's OS thread). All
-    /// `None` when the feature is off, on non-Linux hosts, or for the
-    /// never-pinned caller slot of a non-detached pool.
-    pub fn pinned_cores(&self) -> Vec<Option<usize>> {
-        self.shared.pinned.lock().expect("pinning lock").clone()
     }
 
     /// The pool-wide firing-cost estimate in nanoseconds (an EWMA over
@@ -521,10 +485,9 @@ impl ExecutorPool {
     /// already classified the graph fine-grained; each iteration
     /// barrier re-decides the count (see the module docs). It runs
     /// concurrently with every other job active on the pool. A
-    /// checkpoint may be resumed on a different pool, worker count and
-    /// placement than the one that cut it: sink streams, mode sequences
-    /// and firing counts are byte-identical to a run that never
-    /// stopped.
+    /// checkpoint may be resumed on a different pool and worker count
+    /// than the one that cut it: sink streams, mode sequences and
+    /// firing counts are byte-identical to a run that never stopped.
     ///
     /// `on_complete` is invoked exactly once after the job's result is
     /// published (from the finalising thread, with no pool lock held) —
@@ -744,22 +707,10 @@ impl JobTicket {
     }
 }
 
-/// The persistent worker loop: pin (when enabled), handshake, then hunt
-/// the job queue — claim a participation slot, run the shared engine
-/// worker loop, report completion, repeat until shutdown.
-fn pool_worker(shared: Arc<PoolShared>, me: usize) {
-    // Worker `me` takes the `me`-th core of the thread's *allowed* set
-    // (wrapping), so pinning survives cpuset/taskset restrictions.
-    let pinned = pin_to_nth_allowed_core(me);
-    {
-        let mut record = shared.pinned.lock().expect("pinning lock");
-        record[me] = pinned;
-    }
-    {
-        let mut slot = shared.slot.lock().expect("pool lock");
-        slot.started += 1;
-    }
-    shared.done.notify_all();
+/// The persistent worker loop: hunt the job queue — claim a
+/// participation slot, run the shared engine worker loop, report
+/// completion, repeat until shutdown.
+fn pool_worker(shared: Arc<PoolShared>) {
     loop {
         let (job, idx) = {
             let mut slot = shared.slot.lock().expect("pool lock");
@@ -1143,33 +1094,5 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn pinned_cores_report_matches_feature_state() {
-        let pool = ExecutorPool::detached(2);
-        let pinned = pool.pinned_cores();
-        assert_eq!(pinned.len(), 2);
-        if cfg!(all(
-            feature = "core-pinning",
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )) {
-            assert!(
-                pinned.iter().all(|c| c.is_some()),
-                "every detached worker must pin under the feature: {pinned:?}"
-            );
-        } else {
-            assert!(pinned.iter().all(|c| c.is_none()));
-        }
-        // The outcome rides along on every pooled run's metrics.
-        let graph = figure2_graph();
-        let registry = KernelRegistry::new();
-        let compiled = pool
-            .executor(&graph, RuntimeConfig::new(binding(2)).with_threads(2))
-            .unwrap()
-            .compile();
-        let metrics = submit(&pool, &compiled, &registry).wait().unwrap().metrics;
-        assert_eq!(metrics.pinned_cores, pinned);
     }
 }

@@ -7,33 +7,44 @@
 //! encoding is lossless: [`Metrics::from_snapshot`] ∘
 //! [`Metrics::to_snapshot`] is the identity, which the round-trip
 //! tests pin down.
+//!
+//! Two lines carry no field: `placement` and `pinned_cores` date from
+//! when a run could choose affinity placement and pin its workers to
+//! cores. Every run now work-steals on unpinned workers, so the writer
+//! emits them as the constants `placement=ws` and `pinned_cores=`; the
+//! reader still requires both and accepts every value the format ever
+//! carried — so older checkpoints decode — then drops it.
 
-use crate::executor::PlacementPolicy;
 use crate::metrics::{DeadlineSelection, Metrics, RebindEvent};
 use std::time::Duration;
 use tpdf_core::graph::{ChannelId, NodeId};
 use tpdf_core::mode::Mode;
-use tpdf_manycore::MappingStrategy;
 use tpdf_symexpr::Binding;
 use tpdf_trace::{SnapshotError, SnapshotReader, SnapshotWriter};
 
-fn placement_str(placement: &PlacementPolicy) -> &'static str {
-    match placement {
-        PlacementPolicy::WorkStealing => "ws",
-        PlacementPolicy::Affinity(MappingStrategy::RoundRobin) => "affinity:round_robin",
-        PlacementPolicy::Affinity(MappingStrategy::Packed) => "affinity:packed",
-        PlacementPolicy::Affinity(MappingStrategy::LoadBalanced) => "affinity:load_balanced",
-    }
-}
+/// Every value the `placement` line has carried.
+const LEGACY_PLACEMENTS: [&str; 4] = [
+    "ws",
+    "affinity:round_robin",
+    "affinity:packed",
+    "affinity:load_balanced",
+];
 
-fn placement_parse(text: &str) -> Result<PlacementPolicy, SnapshotError> {
-    Ok(match text {
-        "ws" => PlacementPolicy::WorkStealing,
-        "affinity:round_robin" => PlacementPolicy::Affinity(MappingStrategy::RoundRobin),
-        "affinity:packed" => PlacementPolicy::Affinity(MappingStrategy::Packed),
-        "affinity:load_balanced" => PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
-        other => return Err(SnapshotError::Malformed(format!("placement={other}"))),
-    })
+/// Checks the two legacy lines (see the module docs): both present,
+/// `placement` one of [`LEGACY_PLACEMENTS`], `pinned_cores` empty or a
+/// comma list of core ids and `-`.
+fn check_legacy_lines(reader: &SnapshotReader) -> Result<(), SnapshotError> {
+    let placement = reader.raw("placement")?;
+    if !LEGACY_PLACEMENTS.contains(&placement) {
+        return Err(SnapshotError::Malformed(format!("placement={placement}")));
+    }
+    let pinned = reader.raw("pinned_cores")?;
+    if !pinned.is_empty() {
+        for token in pinned.split(',') {
+            opt_parse(token, "pinned_cores")?;
+        }
+    }
+    Ok(())
 }
 
 /// Appends `v` in decimal without `fmt` machinery — the `modes` lines
@@ -125,7 +136,7 @@ impl Metrics {
         writer.field("iterations", self.iterations);
         writer.field("threads", self.threads);
         writer.field("effective_workers", self.effective_workers);
-        writer.field("placement", placement_str(&self.placement));
+        writer.field("placement", "ws");
         writer.field_list("firings", self.firings.iter().copied());
         writer.field_list("tokens_pushed", self.tokens_pushed.iter().copied());
         writer.field_list(
@@ -187,13 +198,7 @@ impl Metrics {
                 format_args!("{};{pairs};{counts};{capacities}", rebind.iteration),
             );
         }
-        let pinned = self
-            .pinned_cores
-            .iter()
-            .map(|core| opt_str(core.map(|c| c as u64)))
-            .collect::<Vec<_>>()
-            .join(",");
-        writer.field("pinned_cores", pinned);
+        writer.field("pinned_cores", "");
         writer.field("arena_hits", self.arena_hits);
         writer.field("arena_misses", self.arena_misses);
         writer.field("arena_recycled", self.arena_recycled);
@@ -267,20 +272,11 @@ impl Metrics {
                 capacities: parse_list(capacities)?,
             });
         }
-        let pinned_raw = reader.raw("pinned_cores")?;
-        let pinned_cores = if pinned_raw.is_empty() {
-            Vec::new()
-        } else {
-            pinned_raw
-                .split(',')
-                .map(|token| opt_parse(token, "pinned_cores").map(|c| c.map(|v| v as usize)))
-                .collect::<Result<_, _>>()?
-        };
+        check_legacy_lines(reader)?;
         Ok(Metrics {
             iterations: reader.u64("iterations")?,
             threads: reader.get("threads")?,
             effective_workers: reader.get("effective_workers")?,
-            placement: placement_parse(reader.raw("placement")?)?,
             firings: reader.u64_list("firings")?,
             tokens_pushed: reader.u64_list("tokens_pushed")?,
             channel_high_water: reader.u64_list("channel_high_water")?,
@@ -295,7 +291,6 @@ impl Metrics {
             worker_firings: reader.u64_list("worker_firings")?,
             worker_steals: reader.u64_list("worker_steals")?,
             rebinds,
-            pinned_cores,
             arena_hits: reader.u64("arena_hits")?,
             arena_misses: reader.u64("arena_misses")?,
             arena_recycled: reader.u64("arena_recycled")?,
@@ -329,7 +324,6 @@ mod tests {
             iterations: 3,
             threads: 4,
             effective_workers: 2,
-            placement: PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
             firings: vec![6, 12, 6],
             tokens_pushed: vec![12, 12],
             channel_high_water: vec![4, 2],
@@ -370,7 +364,6 @@ mod tests {
                 counts: vec![2, 4, 2],
                 capacities: vec![8, 4],
             }],
-            pinned_cores: vec![Some(0), None, Some(3)],
             arena_hits: 40,
             arena_misses: 8,
             arena_recycled: 44,
@@ -392,7 +385,6 @@ mod tests {
         metrics.deadline_selections.clear();
         metrics.mode_sequences.clear();
         metrics.rebinds.clear();
-        metrics.pinned_cores.clear();
         metrics.worker_steals.clear();
         let back = Metrics::from_snapshot(&metrics.to_snapshot()).unwrap();
         assert_eq!(back, metrics);
@@ -404,11 +396,53 @@ mod tests {
             Metrics::from_snapshot("iterations=1\n"),
             Err(SnapshotError::Missing(_))
         ));
-        let mut text = sample().to_snapshot();
-        text = text.replace("placement=affinity:load_balanced", "placement=magic");
-        assert!(matches!(
-            Metrics::from_snapshot(&text),
-            Err(SnapshotError::Malformed(what)) if what.contains("placement")
-        ));
+        let text = sample().to_snapshot();
+        assert!(text.contains("\nplacement=ws\n"));
+        assert!(text.contains("\npinned_cores=\n"));
+        // (key, value, decodes): every value a checkpoint ever carried
+        // decodes to the same metrics; anything else is `Malformed`.
+        let table = [
+            ("placement", "ws", true),
+            ("placement", "affinity:round_robin", true),
+            ("placement", "affinity:packed", true),
+            ("placement", "affinity:load_balanced", true),
+            ("pinned_cores", "", true),
+            ("pinned_cores", "-", true),
+            ("pinned_cores", "2", true),
+            ("pinned_cores", "0,-,3", true),
+            ("placement", "magic", false),
+            ("placement", "", false),
+            ("placement", "affinity", false),
+            ("placement", "affinity:spread", false),
+            ("pinned_cores", "x", false),
+            ("pinned_cores", "0,,1", false),
+            ("pinned_cores", "-1", false),
+            ("pinned_cores", "0;1", false),
+        ];
+        let defaults = [("placement", "ws"), ("pinned_cores", "")];
+        for (key, value, decodes) in table {
+            let (_, default) = defaults.iter().find(|(k, _)| *k == key).unwrap();
+            let edited = text.replace(
+                &format!("\n{key}={default}\n"),
+                &format!("\n{key}={value}\n"),
+            );
+            let decoded = Metrics::from_snapshot(&edited);
+            if decodes {
+                assert_eq!(decoded.unwrap(), sample(), "{key}={value}");
+            } else {
+                assert!(
+                    matches!(&decoded, Err(SnapshotError::Malformed(what)) if what.contains(key)),
+                    "{key}={value}: {decoded:?}"
+                );
+            }
+        }
+        for key in ["placement", "pinned_cores"] {
+            let (_, default) = defaults.iter().find(|(k, _)| *k == key).unwrap();
+            let dropped = text.replace(&format!("\n{key}={default}\n"), "\n");
+            assert!(matches!(
+                Metrics::from_snapshot(&dropped),
+                Err(SnapshotError::Missing(k)) if k == key
+            ));
+        }
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! * [`TpdfService::open_session`] **admits** a graph instance with its
 //!   own per-session [`tpdf_runtime::RuntimeConfig`] — deadline mode,
-//!   placement policy, binding sequences all work unchanged per
-//!   session. Admission is controlled twice: a concurrent-session
-//!   limit with a reject-or-block [`AdmissionPolicy`], and
+//!   thread count, binding sequences all work unchanged per session.
+//!   Admission is controlled twice: a concurrent-session limit with a
+//!   reject-or-block [`AdmissionPolicy`], and
 //!   **deadline-aware admission control** — a session whose
 //!   reference-sim cost estimate (Σ repetition count × execution time
 //!   per iteration, divided by its Clock deadline period) would

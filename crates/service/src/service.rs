@@ -529,8 +529,7 @@ impl TpdfService {
     }
 
     /// The shared pool (for telemetry inspection — e.g.
-    /// [`ExecutorPool::sampled_firing_cost_ns`],
-    /// [`ExecutorPool::pinned_cores`]).
+    /// [`ExecutorPool::sampled_firing_cost_ns`]).
     pub fn pool(&self) -> &ExecutorPool {
         &self.pool
     }

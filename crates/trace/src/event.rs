@@ -20,8 +20,8 @@ pub enum EventKind {
     /// *start*; start and end collapse into one record so the hot
     /// path pays for a single event per firing.
     Firing = 1,
-    /// A firing acquired across the placement boundary (stolen hint or
-    /// foreign-home node): `a` = node.
+    /// A firing of a hint stolen from a foreign ready queue: `a` =
+    /// node.
     Steal = 2,
     /// A worker started waiting for work (span start; paired with
     /// [`EventKind::Wake`]).

@@ -9,9 +9,9 @@
 //! resumed run must produce **byte-identical sink token streams, mode
 //! sequences and firing counts** to the run that never stopped — on a
 //! one-call executor, on a fresh [`ExecutorPool`], on the *same* pool
-//! that took the checkpoint, and across thread counts and placement
-//! policies (the checkpoint stores no schedule, only the Kahn state,
-//! so any schedule may finish the run).
+//! that took the checkpoint, and across thread counts (the checkpoint
+//! stores no schedule, only the Kahn state, so any schedule may finish
+//! the run).
 //!
 //! All four case studies go through the harness: edge detection, OFDM
 //! with data-dependent control, the FM radio, and Figure 2 with
@@ -28,9 +28,8 @@
 //! version byte and an unknown trailing field are rejected by name;
 //! and the committed v1 golden fixture still decodes and restores.
 //!
-//! CI matrix knobs (same vocabulary as `runtime_vs_sim_prop`):
-//! `TPDF_TEST_THREADS` (default `1,4`) and `TPDF_TEST_PLACEMENT`
-//! (`worksteal`, `affinity` or `all`; default `all`).
+//! CI matrix knob (same vocabulary as `runtime_vs_sim_prop`):
+//! `TPDF_TEST_THREADS` (default `1,4`).
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -45,15 +44,14 @@ use tpdf_suite::core::control::{FnSelector, ModeSelector, TableTrace};
 use tpdf_suite::core::examples::{figure2_graph, figure4a_graph};
 use tpdf_suite::core::graph::TpdfGraph;
 use tpdf_suite::core::mode::Mode;
-use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::checkpoint::{checksum, VERSION};
 use tpdf_suite::runtime::codec::DecodeError;
 use tpdf_suite::runtime::kernel::KernelRegistry;
 use tpdf_suite::runtime::{
     ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointError, CompiledExecutor,
     EdgeDetectionRuntime, Executor, ExecutorPool, FmRadioRuntime, Metrics, OfdmRuntime,
-    OutputCapture, PayloadEncoding, PayloadRuntime, PlacementPolicy, RunOutcome, RunRequest,
-    RuntimeConfig, RuntimeError, Token, TokenBytes,
+    OutputCapture, PayloadEncoding, PayloadRuntime, RunOutcome, RunRequest, RuntimeConfig,
+    RuntimeError, Token, TokenBytes,
 };
 use tpdf_suite::sim::engine::ControlPolicy;
 use tpdf_suite::symexpr::Binding;
@@ -75,24 +73,6 @@ fn thread_counts() -> Vec<usize> {
         }
         Err(_) => vec![1, 4],
     }
-}
-
-/// Placement policies to exercise on restore, from
-/// `TPDF_TEST_PLACEMENT`. The checkpointing run always uses
-/// `WorkStealing` — restoring under a *different* policy than the one
-/// that checkpointed is the point.
-fn placements() -> Vec<PlacementPolicy> {
-    let affinity = [
-        PlacementPolicy::Affinity(MappingStrategy::RoundRobin),
-        PlacementPolicy::Affinity(MappingStrategy::Packed),
-        PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
-    ];
-    let mut policies = vec![PlacementPolicy::WorkStealing];
-    match std::env::var("TPDF_TEST_PLACEMENT").as_deref() {
-        Ok("worksteal") => {}
-        Ok("affinity") | Ok("all") | Err(_) | Ok(_) => policies.extend(affinity),
-    }
-    policies
 }
 
 /// The observable results a resumed run must reproduce exactly.
@@ -139,7 +119,7 @@ fn submit_and_wait(
 /// The harness core: runs `graph` uninterrupted for `total`
 /// iterations, then for **every** barrier k in `1..total` crashes at
 /// k, round-trips the checkpoint through the byte codec, and restores
-/// under every thread count and placement policy — on a one-call
+/// under every thread count — on a one-call
 /// executor, on a fresh pool with a different worker count, and (at
 /// the middle barrier) on the same pool that took the checkpoint.
 /// `build_registry` must wire a fresh registry + sink capture per
@@ -183,47 +163,32 @@ fn assert_crash_restart_equivalence(
             "{sink}: codec round-trip at barrier {k}"
         );
 
-        for placement in placements() {
-            for &threads in &thread_counts() {
-                let context = format!(
-                    "for {sink} after restart at barrier {k} ({threads} threads, {placement:?})"
-                );
-                let (registry, capture) = build_registry();
-                capture.restore_tokens(decoded.captured.clone());
-                let resumed = Executor::new(
-                    graph,
-                    config
-                        .clone()
-                        .with_iterations(total)
-                        .with_threads(threads)
-                        .with_placement(placement),
-                )
-                .expect("restore executor")
-                .run_restored(&registry, &decoded)
-                .unwrap_or_else(|e| panic!("restored run {context}: {e}"));
-                assert_resumed_matches(&resumed, &full, &context);
-                assert_eq!(
-                    capture.take_tokens(),
-                    expected,
-                    "sink stream diverges {context}"
-                );
-            }
+        for &threads in &thread_counts() {
+            let context = format!("for {sink} after restart at barrier {k} ({threads} threads)");
+            let (registry, capture) = build_registry();
+            capture.restore_tokens(decoded.captured.clone());
+            let resumed = Executor::new(
+                graph,
+                config.clone().with_iterations(total).with_threads(threads),
+            )
+            .expect("restore executor")
+            .run_restored(&registry, &decoded)
+            .unwrap_or_else(|e| panic!("restored run {context}: {e}"));
+            assert_resumed_matches(&resumed, &full, &context);
+            assert_eq!(
+                capture.take_tokens(),
+                expected,
+                "sink stream diverges {context}"
+            );
         }
 
-        // A fresh pool with its own worker count and placement — the
-        // migration target — resumes the same bytes.
+        // A fresh pool with its own worker count — the migration
+        // target — resumes the same bytes.
         let context = format!("for {sink} on a fresh pool after barrier {k}");
         let pool = ExecutorPool::new(3);
-        let compiled = Executor::new(
-            graph,
-            config
-                .clone()
-                .with_iterations(total)
-                .with_threads(3)
-                .with_placement(PlacementPolicy::Affinity(MappingStrategy::Packed)),
-        )
-        .expect("pool executor")
-        .compile();
+        let compiled = Executor::new(graph, config.clone().with_iterations(total).with_threads(3))
+            .expect("pool executor")
+            .compile();
         let (registry, capture) = build_registry();
         capture.restore_tokens(decoded.captured.clone());
         let resumed = submit_and_wait(&pool, &compiled, &registry, Some(&decoded), false)

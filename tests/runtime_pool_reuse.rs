@@ -7,18 +7,12 @@
 //! short single-worker runs keeps its second worker. (That no run leaks an OS thread
 //! is asserted in `tests/thread_leaks.rs`, which owns its process.)
 //!
-//! CI matrix knobs:
-//!
-//! * `TPDF_TEST_THREADS` — comma-separated pool sizes (default `1,2,4`);
-//! * `TPDF_TEST_PLACEMENT` — `worksteal`, `affinity` or `all`
-//!   (default `all`).
+//! CI matrix knob: `TPDF_TEST_THREADS` — comma-separated pool sizes
+//! (default `1,2,4`).
 
 use tpdf_suite::core::examples::figure2_graph;
-use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::kernel::KernelRegistry;
-use tpdf_suite::runtime::{
-    Executor, ExecutorPool, Metrics, PlacementPolicy, RunRequest, RuntimeConfig,
-};
+use tpdf_suite::runtime::{Executor, ExecutorPool, Metrics, RunRequest, RuntimeConfig};
 use tpdf_suite::sim::engine::{SimulationConfig, Simulator};
 use tpdf_suite::symexpr::Binding;
 
@@ -42,20 +36,6 @@ fn pool_sizes() -> Vec<usize> {
     }
 }
 
-fn placements() -> Vec<PlacementPolicy> {
-    match std::env::var("TPDF_TEST_PLACEMENT").as_deref() {
-        Ok("worksteal") => vec![PlacementPolicy::WorkStealing],
-        Ok("affinity") => vec![
-            PlacementPolicy::Affinity(MappingStrategy::RoundRobin),
-            PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
-        ],
-        _ => vec![
-            PlacementPolicy::WorkStealing,
-            PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
-        ],
-    }
-}
-
 fn binding(p: i64) -> Binding {
     Binding::from_pairs([("p", p)])
 }
@@ -76,56 +56,53 @@ fn repeated_runs_keep_the_pool_size_and_reset_metrics() {
     let graph = figure2_graph();
     let registry = KernelRegistry::new();
     for threads in pool_sizes() {
-        for placement in placements() {
-            let pool = ExecutorPool::new(threads);
-            assert_eq!(pool.worker_count(), threads);
-            assert_eq!(pool.spawned_workers(), threads - 1);
+        let pool = ExecutorPool::new(threads);
+        assert_eq!(pool.worker_count(), threads);
+        assert_eq!(pool.spawned_workers(), threads - 1);
 
-            let sequences: [Vec<Binding>; 4] = [
-                vec![binding(1)],
-                vec![binding(2), binding(3)],
-                vec![binding(3), binding(1), binding(2)],
-                vec![binding(2), binding(3)], // repeat of run 1's config
-            ];
-            let mut all_metrics = Vec::new();
-            for sequence in &sequences {
-                let config = RuntimeConfig::new(binding(1))
-                    .with_threads(threads)
-                    .with_iterations(4)
-                    .with_placement(placement)
-                    .with_binding_sequence(sequence.clone());
-                let reference = Simulator::new(
-                    &graph,
-                    SimulationConfig::new(binding(1)).with_binding_sequence(sequence.clone()),
-                )
-                .unwrap()
-                .run_iterations(4)
-                .unwrap();
-                let executor = pool.executor(&graph, config).unwrap();
-                let metrics = run(&pool, &executor, &registry);
-                // Per-run metrics: every run reports its own 4
-                // iterations and its own reference-matching firing
-                // counts — nothing carries over from earlier runs.
-                assert_eq!(metrics.iterations, 4, "{placement:?} @ {threads}");
-                assert_eq!(
-                    metrics.firings, reference.firings,
-                    "{placement:?} @ {threads}, sequence {sequence:?}"
-                );
-                assert_eq!(
-                    metrics.worker_firings.iter().sum::<u64>(),
-                    metrics.firings.iter().sum::<u64>()
-                );
-                all_metrics.push(metrics);
-            }
-            // Identical configs (runs 1 and 3) give identical counters.
-            assert_eq!(all_metrics[1].firings, all_metrics[3].firings);
-            assert_eq!(all_metrics[1].tokens_pushed, all_metrics[3].tokens_pushed);
-
-            // The pool's workers were spawned at construction and
-            // none were added by any run.
-            assert_eq!(pool.worker_count(), threads);
-            assert_eq!(pool.spawned_workers(), threads - 1);
+        let sequences: [Vec<Binding>; 4] = [
+            vec![binding(1)],
+            vec![binding(2), binding(3)],
+            vec![binding(3), binding(1), binding(2)],
+            vec![binding(2), binding(3)], // repeat of run 1's config
+        ];
+        let mut all_metrics = Vec::new();
+        for sequence in &sequences {
+            let config = RuntimeConfig::new(binding(1))
+                .with_threads(threads)
+                .with_iterations(4)
+                .with_binding_sequence(sequence.clone());
+            let reference = Simulator::new(
+                &graph,
+                SimulationConfig::new(binding(1)).with_binding_sequence(sequence.clone()),
+            )
+            .unwrap()
+            .run_iterations(4)
+            .unwrap();
+            let executor = pool.executor(&graph, config).unwrap();
+            let metrics = run(&pool, &executor, &registry);
+            // Per-run metrics: every run reports its own 4
+            // iterations and its own reference-matching firing
+            // counts — nothing carries over from earlier runs.
+            assert_eq!(metrics.iterations, 4, "{threads} threads");
+            assert_eq!(
+                metrics.firings, reference.firings,
+                "{threads} threads, sequence {sequence:?}"
+            );
+            assert_eq!(
+                metrics.worker_firings.iter().sum::<u64>(),
+                metrics.firings.iter().sum::<u64>()
+            );
+            all_metrics.push(metrics);
         }
+        // Identical configs (runs 1 and 3) give identical counters.
+        assert_eq!(all_metrics[1].firings, all_metrics[3].firings);
+        assert_eq!(all_metrics[1].tokens_pushed, all_metrics[3].tokens_pushed);
+
+        // The pool's workers were spawned at construction and
+        // none were added by any run.
+        assert_eq!(pool.worker_count(), threads);
+        assert_eq!(pool.spawned_workers(), threads - 1);
     }
 }
 

@@ -14,11 +14,8 @@
 
 use std::sync::Arc;
 use tpdf_suite::core::examples::{figure2_graph, figure4_deadlocked_graph};
-use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::executor::STALL_DUMP_EVENTS;
-use tpdf_suite::runtime::{
-    Executor, KernelRegistry, Metrics, PlacementPolicy, RuntimeConfig, RuntimeError, Tracer,
-};
+use tpdf_suite::runtime::{Executor, KernelRegistry, Metrics, RuntimeConfig, RuntimeError, Tracer};
 use tpdf_suite::service::{ServiceConfig, TpdfService};
 use tpdf_suite::symexpr::Binding;
 use tpdf_suite::trace::{json, ChromeLabels, EventKind, TraceLog};
@@ -33,15 +30,14 @@ fn binding(p: i64) -> Binding {
     Binding::from_pairs([("p", p)])
 }
 
-/// Runs figure 2 under `threads` × `placement` with a fresh tracer of
+/// Runs figure 2 on `threads` workers with a fresh tracer of
 /// `capacity` events per lane and returns the merged log plus the
 /// run's metrics.
-fn traced_run(threads: usize, placement: PlacementPolicy, capacity: usize) -> (TraceLog, Metrics) {
+fn traced_run(threads: usize, capacity: usize) -> (TraceLog, Metrics) {
     let tracer = Tracer::flight_recorder(threads, capacity);
     let config = RuntimeConfig::new(binding(2))
         .with_threads(threads)
         .with_iterations(ITERATIONS)
-        .with_placement(placement)
         .with_tracer(Arc::clone(&tracer));
     let graph = figure2_graph();
     let metrics = Executor::new(&graph, config)
@@ -54,14 +50,14 @@ fn traced_run(threads: usize, placement: PlacementPolicy, capacity: usize) -> (T
 /// The merged trace agrees with the executor's own counters — exactly
 /// when nothing was overwritten, and boundedly at a tiny
 /// flight-recorder capacity.
-fn check_firing_invariants(threads: usize, placement: PlacementPolicy) {
+fn check_firing_invariants(threads: usize) {
     for capacity in CAPACITIES {
-        check_firing_invariants_at(threads, placement, capacity);
+        check_firing_invariants_at(threads, capacity);
     }
 }
 
-fn check_firing_invariants_at(threads: usize, placement: PlacementPolicy, capacity: usize) {
-    let (log, metrics) = traced_run(threads, placement, capacity);
+fn check_firing_invariants_at(threads: usize, capacity: usize) {
+    let (log, metrics) = traced_run(threads, capacity);
     let expected: u64 = metrics.firings.iter().sum();
     let traced = log.count(EventKind::Firing);
     let lanes = threads + 1;
@@ -69,7 +65,7 @@ fn check_firing_invariants_at(threads: usize, placement: PlacementPolicy, capaci
         assert_eq!(
             traced, expected,
             "merged Firing events must equal Metrics::firings total \
-             ({threads} threads, {placement:?})"
+             ({threads} threads)"
         );
         let by_lane = log.firings_by_lane();
         for (worker, &firings) in metrics.worker_firings.iter().enumerate() {
@@ -77,7 +73,7 @@ fn check_firing_invariants_at(threads: usize, placement: PlacementPolicy, capaci
             assert_eq!(
                 lane, firings,
                 "lane {worker} firings must match worker_firings \
-                 ({threads} threads, {placement:?})"
+                 ({threads} threads)"
             );
         }
         let extra: u64 = by_lane
@@ -102,22 +98,12 @@ fn check_firing_invariants_at(threads: usize, placement: PlacementPolicy, capaci
 
 #[test]
 fn trace_matches_metrics_single_thread_work_stealing() {
-    check_firing_invariants(1, PlacementPolicy::WorkStealing);
+    check_firing_invariants(1);
 }
 
 #[test]
 fn trace_matches_metrics_four_threads_work_stealing() {
-    check_firing_invariants(4, PlacementPolicy::WorkStealing);
-}
-
-#[test]
-fn trace_matches_metrics_single_thread_affinity() {
-    check_firing_invariants(1, PlacementPolicy::Affinity(MappingStrategy::LoadBalanced));
-}
-
-#[test]
-fn trace_matches_metrics_four_threads_affinity() {
-    check_firing_invariants(4, PlacementPolicy::Affinity(MappingStrategy::LoadBalanced));
+    check_firing_invariants(4);
 }
 
 /// A disabled tracer records nothing at all.

@@ -13,27 +13,15 @@
 //!   reads real tokens while the simulation reads the value trace;
 //! * **schedule independence** — a 1-thread and a 4-thread runtime run
 //!   produce identical sink values and mode sequences (the Kahn-style
-//!   determinacy argument, exercised rather than assumed);
-//! * **placement independence** — every case additionally runs under
-//!   [`PlacementPolicy::Affinity`] with all three
-//!   [`MappingStrategy`] variants, and the sink token streams, mode
-//!   sequences and firing counts must be byte-identical to both the
-//!   sim reference and the `WorkStealing` baseline at every thread
-//!   count. Pinning nodes to home workers may change the schedule;
-//!   it must never change an observable result.
+//!   determinacy argument, exercised rather than assumed).
 //!
 //! Generation is deterministic (the offline proptest stub seeds its RNG
 //! from the test name) and the case count is bounded, so this file is a
 //! CI gate, not a fuzz target: every run checks the same cases in well
 //! under a minute.
 //!
-//! CI matrix knobs (defaults cover everything in one process):
-//!
-//! * `TPDF_TEST_THREADS` — comma-separated worker counts to exercise
-//!   (default `1,4`);
-//! * `TPDF_TEST_PLACEMENT` — `worksteal`, `affinity` or `all`
-//!   (default `all`). `affinity` still runs the `WorkStealing`
-//!   baseline: the differential against it is the point.
+//! CI matrix knob: `TPDF_TEST_THREADS` — comma-separated worker counts
+//! to exercise (default `1,4`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -42,9 +30,8 @@ use tpdf_suite::core::control::{FnSelector, ModeSelector, TableTrace};
 use tpdf_suite::core::graph::TpdfGraph;
 use tpdf_suite::core::mode::Mode;
 use tpdf_suite::core::rate::RateSeq;
-use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::kernel::KernelRegistry;
-use tpdf_suite::runtime::{Executor, OutputCapture, PlacementPolicy, RuntimeConfig, Token};
+use tpdf_suite::runtime::{Executor, OutputCapture, RuntimeConfig, Token};
 use tpdf_suite::sim::engine::Simulator;
 use tpdf_suite::symexpr::{Binding, Poly};
 
@@ -70,23 +57,6 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-/// Placement policies to exercise, from `TPDF_TEST_PLACEMENT`. The
-/// `WorkStealing` baseline is always first: affinity runs are compared
-/// against it.
-fn placements() -> Vec<PlacementPolicy> {
-    let affinity = [
-        PlacementPolicy::Affinity(MappingStrategy::RoundRobin),
-        PlacementPolicy::Affinity(MappingStrategy::Packed),
-        PlacementPolicy::Affinity(MappingStrategy::LoadBalanced),
-    ];
-    let mut policies = vec![PlacementPolicy::WorkStealing];
-    match std::env::var("TPDF_TEST_PLACEMENT").as_deref() {
-        Ok("worksteal") => {}
-        Ok("affinity") | Ok("all") | Err(_) | Ok(_) => policies.extend(affinity),
-    }
-    policies
-}
-
 /// Deterministically maps a consumed-value sum to a mode valid for a
 /// kernel with `ports` data inputs. Covers single selection, subset
 /// selection and wait-all; `HighestPriority` is excluded on purpose —
@@ -110,10 +80,10 @@ fn mode_for_value(value: i64, ports: usize) -> Mode {
     }
 }
 
-/// Runs one generated case on both engines, under every placement
-/// policy and thread count, and asserts the differential properties.
-/// `build_registry` must return a freshly wired registry + sink capture
-/// on every call (runtime runs may not share captures).
+/// Runs one generated case on both engines, at every thread count,
+/// and asserts the differential properties. `build_registry` must
+/// return a freshly wired registry + sink capture on every call
+/// (runtime runs may not share captures).
 fn assert_differential(
     graph: &TpdfGraph,
     config: &RuntimeConfig,
@@ -126,80 +96,64 @@ fn assert_differential(
         .run_iterations(config.iterations)
         .expect("reference run");
 
-    // Sink token stream of the WorkStealing baseline, per thread count
-    // — every affinity run must reproduce it byte for byte.
-    let mut baseline: Vec<(usize, Vec<Token>)> = Vec::new();
-    for placement in placements() {
-        for &threads in &thread_counts() {
-            let (registry, capture) = build_registry();
-            let run_config = config
-                .clone()
-                .with_threads(threads)
-                .with_placement(placement);
-            let metrics = Executor::new(graph, run_config)
-                .expect("executor")
-                .run(&registry)
-                .expect("runtime run");
+    // Sink token stream per thread count.
+    let mut streams: Vec<Vec<Token>> = Vec::new();
+    for &threads in &thread_counts() {
+        let (registry, capture) = build_registry();
+        let run_config = config.clone().with_threads(threads);
+        let metrics = Executor::new(graph, run_config)
+            .expect("executor")
+            .run(&registry)
+            .expect("runtime run");
 
-            assert_eq!(
-                metrics.firings, reference.firings,
-                "firing counts diverge at {threads} threads under {placement:?}"
-            );
-            assert_eq!(
-                metrics.mode_sequences, reference.mode_sequences,
-                "mode sequences diverge at {threads} threads under {placement:?}"
-            );
-            // Token production per channel, derived per iteration from
-            // the effective binding (covers mid-run rebinding).
-            for (id, chan) in graph.channels() {
-                let produced: u64 = reference
-                    .per_iteration
-                    .iter()
-                    .map(|record| {
-                        (0..record.counts[chan.source.0])
-                            .map(|k| {
-                                chan.production
-                                    .concrete(k, &record.binding)
-                                    .expect("concrete rate")
-                            })
-                            .sum::<u64>()
-                    })
-                    .sum();
-                assert_eq!(
-                    metrics.tokens_pushed[id.0], produced,
-                    "channel {} token count diverges at {threads} threads under {placement:?}",
-                    chan.label
-                );
-            }
-            for (hw, cap) in metrics
-                .channel_high_water
+        assert_eq!(
+            metrics.firings, reference.firings,
+            "firing counts diverge at {threads} threads"
+        );
+        assert_eq!(
+            metrics.mode_sequences, reference.mode_sequences,
+            "mode sequences diverge at {threads} threads"
+        );
+        // Token production per channel, derived per iteration from
+        // the effective binding (covers mid-run rebinding).
+        for (id, chan) in graph.channels() {
+            let produced: u64 = reference
+                .per_iteration
                 .iter()
-                .zip(&metrics.channel_capacity)
-            {
-                assert!(hw <= cap, "ring exceeded its capacity");
-            }
+                .map(|record| {
+                    (0..record.counts[chan.source.0])
+                        .map(|k| {
+                            chan.production
+                                .concrete(k, &record.binding)
+                                .expect("concrete rate")
+                        })
+                        .sum::<u64>()
+                })
+                .sum();
             assert_eq!(
-                metrics.worker_firings.iter().sum::<u64>(),
-                metrics.firings.iter().sum::<u64>(),
-                "per-worker firing counts must account for every firing"
+                metrics.tokens_pushed[id.0], produced,
+                "channel {} token count diverges at {threads} threads",
+                chan.label
             );
-            let tokens = capture.take_tokens();
-            match baseline.iter().find(|(t, _)| *t == threads) {
-                // The WorkStealing pass runs first and records the
-                // baseline for this thread count.
-                None => baseline.push((threads, tokens)),
-                Some((_, expected)) => assert_eq!(
-                    &tokens, expected,
-                    "sink {sink} values under {placement:?} at {threads} threads \
-                     diverge from the WorkStealing baseline"
-                ),
-            }
         }
+        for (hw, cap) in metrics
+            .channel_high_water
+            .iter()
+            .zip(&metrics.channel_capacity)
+        {
+            assert!(hw <= cap, "ring exceeded its capacity");
+        }
+        assert_eq!(
+            metrics.worker_firings.iter().sum::<u64>(),
+            metrics.firings.iter().sum::<u64>(),
+            "per-worker firing counts must account for every firing"
+        );
+        streams.push(capture.take_tokens());
     }
     // Schedule independence across thread counts (first vs each).
-    for window in baseline.windows(2) {
+    for window in streams.windows(2) {
         assert_eq!(
-            window[0].1, window[1].1,
+            window[0], window[1],
             "sink {sink} values depend on the thread count"
         );
     }

@@ -1,7 +1,7 @@
 //! Stress suite for the `tpdf-service` multi-session layer: many
 //! concurrent sessions — mixed case studies (edge detection, OFDM,
 //! FM radio) under mixed per-session `RuntimeConfig`s (thread counts,
-//! placement policies, control policies, binding sequences) — share one
+//! control policies, binding sequences) — share one
 //! pool, and every session's sink token stream must be **byte-identical
 //! to its solo run**; one panicking session must not poison its
 //! neighbours; admission rejections must be observable in
@@ -19,10 +19,9 @@ use tpdf_suite::core::actors::KernelKind;
 use tpdf_suite::core::examples::figure2_graph;
 use tpdf_suite::core::graph::TpdfGraph;
 use tpdf_suite::core::rate::RateSeq;
-use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::{
     EdgeDetectionRuntime, Executor, FmRadioRuntime, KernelRegistry, OfdmRuntime, OutputCapture,
-    PlacementPolicy, RuntimeConfig, Token,
+    RuntimeConfig, Token,
 };
 use tpdf_suite::service::{ServiceConfig, ServiceError, SessionStatus, TpdfService};
 use tpdf_suite::sim::engine::{ControlPolicy, SimulationConfig, Simulator};
@@ -108,15 +107,13 @@ fn edge_specs() -> Vec<SessionSpec> {
         port.registry(None),
         port.registry(None),
     ));
-    // Affinity placement driven by the manycore mapper.
+    // A second WaitAll image on four workers.
     let port =
         EdgeDetectionRuntime::new(EdgeDetectionApp::default(), GrayImage::synthetic(28, 28, 3));
     specs.push(SessionSpec::new(
-        "edge_affinity",
+        "edge_28px",
         port.graph(),
-        RuntimeConfig::new(Binding::new())
-            .with_threads(4)
-            .with_placement(PlacementPolicy::Affinity(MappingStrategy::LoadBalanced)),
+        RuntimeConfig::new(Binding::new()).with_threads(4),
         port.registry(None),
         port.registry(None),
     ));
@@ -165,7 +162,7 @@ fn ofdm_specs() -> Vec<SessionSpec> {
         port.registry(),
         port.registry(),
     ));
-    // QPSK again, under affinity placement.
+    // QPSK again, on longer symbols.
     let port = OfdmRuntime::new(
         OfdmConfig {
             symbol_len: 32,
@@ -176,11 +173,10 @@ fn ofdm_specs() -> Vec<SessionSpec> {
         77,
     );
     specs.push(SessionSpec::new(
-        "ofdm_qpsk_affinity",
+        "ofdm_qpsk_32",
         port.graph(),
         RuntimeConfig::new(port.config().binding())
             .with_threads(4)
-            .with_placement(PlacementPolicy::Affinity(MappingStrategy::RoundRobin))
             .with_mode_selector(port.mode_selector())
             .with_value_trace(port.value_trace()),
         port.registry(),
