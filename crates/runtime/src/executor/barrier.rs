@@ -60,28 +60,16 @@ impl Engine {
                     .expect("capacity covers initial tokens");
             }
         }
-        // One clock read per iteration: the iteration's participant
-        // time — wall time × slots, less the time slots spent without
-        // work — ÷ firings is its cost per firing. No claim can run
-        // before the budgets are republished below, so no idle span
-        // ends while this reads them.
+        // One clock read per iteration: the iteration's wall time ×
+        // participants ÷ firings is its cost per firing.
         let now_ns = self.beacon.barrier();
-        let from = state.barrier_ns.swap(now_ns, Ordering::Relaxed);
-        let since = now_ns.saturating_sub(from);
-        let idle = state.idle_ns.swap(0, Ordering::Relaxed)
-            + state
-                .idle_since
-                .iter()
-                .map(|slot| match slot.load(Ordering::Relaxed) {
-                    0 => 0,
-                    at => now_ns.saturating_sub(at.max(from)),
-                })
-                .sum::<u64>();
-        let busy = (since * state.queues.len() as u64).saturating_sub(idle);
+        let since = now_ns.saturating_sub(state.barrier_ns.swap(now_ns, Ordering::Relaxed));
+        let participants = state.participants.load(Ordering::Relaxed) as u64;
         let firings = self.plans[state.plan.load(Ordering::Relaxed)]
             .total_per_iter
             .max(1);
-        self.telemetry.record(busy / firings, firings);
+        self.telemetry
+            .record(since * participants / firings, firings);
         let finished = state.iteration.fetch_add(1, Ordering::Relaxed) + 1;
         if finished >= self.config.iterations {
             self.complete_run(state);

@@ -51,9 +51,6 @@ struct Claim {
 pub(super) struct FireScratch {
     fired: u64,
     ts_ns: u64,
-    /// Whether this worker's last hunt found nothing and its slot is
-    /// marked idle (see [`RunState::idle_since`]).
-    idle: bool,
     /// Sampling cadence of the trace timer as a power-of-two mask
     /// (`fired & mask == 1` samples). Workers use 1-in-8; the
     /// single-worker fast path stretches to 1-in-64 — on
@@ -97,7 +94,6 @@ impl Default for FireScratch {
         FireScratch {
             fired: 0,
             ts_ns: 0,
-            idle: false,
             sample_mask: 7,
             arena: SlabArena::default(),
             spare_inputs: Vec::new(),
@@ -135,16 +131,13 @@ impl Engine {
         registry: &KernelRegistry,
         start: Instant,
     ) -> bool {
-        // The first participant starts the first iteration's clock; a
-        // later one ends its slot's idle span, so the time before it
-        // joined counts as idle, not as firing cost.
+        // The first participant starts the first iteration's clock.
         let _ = state.barrier_ns.compare_exchange(
             0,
             self.beacon.ns_at(start),
             Ordering::Relaxed,
             Ordering::Relaxed,
         );
-        self.end_idle(state, me);
         if state.queues.len() == 1 && matches!(self.config.clock_mode, ClockMode::Virtual) {
             self.run_single(state, registry, start);
             false
@@ -185,9 +178,6 @@ impl Engine {
             //    makes progress). A parked peer may be waiting on work
             //    this participant would have taken: wake it first.
             if me >= state.participants.load(Ordering::Relaxed) {
-                if !scratch.idle {
-                    self.begin_idle(state, me);
-                }
                 if state.parked.load(Ordering::SeqCst) > 0 {
                     drop(state.park.lock().expect("park lock"));
                     state.cond.notify_all();
@@ -229,11 +219,6 @@ impl Engine {
                 continue;
             }
             // 5. Nothing claimable anywhere: park (or report a stall).
-            //    The slot is idle until this participant claims again.
-            if !scratch.idle {
-                scratch.idle = true;
-                self.begin_idle(state, me);
-            }
             self.park(state, me, seen, start);
         };
         state.flush_arena(scratch.arena.stats());
@@ -301,24 +286,6 @@ impl Engine {
         state.flush_arena(scratch.arena.stats());
     }
 
-    /// Marks slot `me` idle from now (see [`RunState::idle_since`]).
-    fn begin_idle(&self, state: &RunState, me: usize) {
-        state.idle_since[me].store(self.beacon.now_ns(), Ordering::Relaxed);
-    }
-
-    /// Ends slot `me`'s idle span, if any, and adds its part since the
-    /// latest barrier to the iteration's idle time (the barrier already
-    /// counted the part before it).
-    fn end_idle(&self, state: &RunState, me: usize) {
-        let at = state.idle_since[me].swap(0, Ordering::Relaxed);
-        if at != 0 {
-            let from = at.max(state.barrier_ns.load(Ordering::Relaxed));
-            state
-                .idle_ns
-                .fetch_add(self.beacon.now_ns().saturating_sub(from), Ordering::Relaxed);
-        }
-    }
-
     /// Pops a ready hint: own queue front first, then steal from the
     /// other workers' queues. The second tuple field reports whether
     /// the hint was stolen.
@@ -382,10 +349,6 @@ impl Engine {
         }
         self.attempt(state, me, node, scratch, |scratch| {
             let claim = self.try_claim_node(state, node, real_time, scratch)?;
-            if scratch.idle {
-                scratch.idle = false;
-                self.end_idle(state, me);
-            }
             if stolen {
                 state.worker_steals[me].fetch_add(1, Ordering::Relaxed);
                 if let Some(tracer) = self.trace() {

@@ -338,25 +338,14 @@ const FINE_GRAIN_NS: u64 = 10_000;
 /// fine-grained: a verdict from one short iteration is noise.
 const WARM_UP_FIRINGS: u64 = 64;
 
-/// Iterations the firing-cost estimate is the median of.
-const COST_WINDOW: usize = 7;
-
 /// Firing-cost telemetry, fed once per iteration by the barrier: the
-/// iteration's participant time ÷ its firings, where participant time
-/// is the wall time × the job's participation slots less the time the
-/// slots spent without work (hunting, parked, stood down or not yet
-/// joined) — a worker waiting for its peer's firings adds nothing to
-/// the cost of a firing. Every firing of an iteration is covered, so a
-/// short run weighs its cheap and its heavy nodes alike.
-///
-/// The estimate is the median of the last [`COST_WINDOW`] samples (the
-/// lower middle one while fewer are in). Noise on a wall-clock measure
-/// is one-sided and bursty — a worker preempted for a scheduler slice
-/// stretches that one iteration many times over — so a median ignores
-/// up to three disturbed iterations where a mean is dragged up by one.
-/// A sliding window, not a cumulative mean, so a registry whose kernel
-/// weight changes between runs re-classifies within four iterations
-/// instead of being anchored by the whole history.
+/// iteration's wall time × its participant count ÷ its firings, folded
+/// into an exponentially weighted moving average (α = 1/8) in
+/// nanoseconds. Every firing of an iteration is covered, so a short
+/// run weighs its cheap and its heavy nodes alike. An EWMA — not a
+/// cumulative mean — so a registry whose kernel weight changes between
+/// runs re-classifies within a few iterations instead of being anchored
+/// by the whole history.
 ///
 /// The telemetry is shared (`Arc`): it lives on the [`Executor`] so the
 /// verdict learned in one run carries into the next, and a
@@ -367,33 +356,24 @@ const COST_WINDOW: usize = 7;
 /// scratch.
 #[derive(Debug, Default)]
 pub(crate) struct CostTelemetry {
-    /// The last samples, a ring indexed by `taken`.
-    window: [AtomicU64; COST_WINDOW],
-    /// Samples recorded so far.
-    taken: AtomicU64,
-    /// The window's median, republished by every sample.
-    estimate_ns: AtomicU64,
+    ewma_ns: AtomicU64,
     firings: AtomicU64,
 }
 
 impl CostTelemetry {
-    /// Puts one iteration's cost per firing into the window and
-    /// republishes the median. Concurrent runs sharing the telemetry
-    /// race only against each other and the estimate is advisory, so
-    /// `Relaxed` suffices — a race costs one sample, not correctness.
+    /// Folds one iteration's cost per firing into the EWMA (α = 1/8;
+    /// the first sample seeds the average). Concurrent runs sharing the
+    /// telemetry race only against each other and the estimate is
+    /// advisory, so `Relaxed` suffices — a lost update costs one
+    /// sample's weight, not correctness.
     fn record(&self, cost_ns: u64, firings: u64) {
-        let taken = self.taken.fetch_add(1, Ordering::Relaxed) as usize;
-        self.window[taken % COST_WINDOW].store(cost_ns, Ordering::Relaxed);
-        let filled = (taken + 1).min(COST_WINDOW);
-        let mut samples = [0; COST_WINDOW];
-        for (sample, slot) in samples.iter_mut().zip(&self.window[..filled]) {
-            *sample = slot.load(Ordering::Relaxed);
+        if self.firings.fetch_add(firings, Ordering::Relaxed) == 0 {
+            self.ewma_ns.store(cost_ns, Ordering::Relaxed);
+        } else {
+            let old = self.ewma_ns.load(Ordering::Relaxed);
+            self.ewma_ns
+                .store(old - old / 8 + cost_ns / 8, Ordering::Relaxed);
         }
-        let samples = &mut samples[..filled];
-        samples.sort_unstable();
-        self.estimate_ns
-            .store(samples[(filled - 1) / 2], Ordering::Relaxed);
-        self.firings.fetch_add(firings, Ordering::Relaxed);
     }
 
     /// Whether the measured firing cost says firings are too cheap to
@@ -402,12 +382,12 @@ impl CostTelemetry {
     /// [`Engine::effective_workers`]) and at the iteration barrier.
     fn fine_grained(&self) -> bool {
         self.firings.load(Ordering::Relaxed) >= WARM_UP_FIRINGS
-            && self.estimate_ns.load(Ordering::Relaxed) < FINE_GRAIN_NS
+            && self.ewma_ns.load(Ordering::Relaxed) < FINE_GRAIN_NS
     }
 
     /// The current estimate in nanoseconds, `None` before any sample.
     pub(crate) fn sampled_firing_cost_ns(&self) -> Option<u64> {
-        (self.firings.load(Ordering::Relaxed) > 0).then(|| self.estimate_ns.load(Ordering::Relaxed))
+        (self.firings.load(Ordering::Relaxed) > 0).then(|| self.ewma_ns.load(Ordering::Relaxed))
     }
 }
 
@@ -537,11 +517,10 @@ impl<'g> Executor<'g> {
         &self.engine.plans[self.engine.phase_of(iteration)].counts
     }
 
-    /// The current firing-cost estimate in nanoseconds: the median of
-    /// the last seven iterations of the runs on this executor, each
-    /// measured at its barrier as participant time (wall time × slots,
-    /// less idle slot time) ÷ firings, or `None` before the first
-    /// iteration completed. Feeds
+    /// The current firing-cost estimate in nanoseconds: an EWMA
+    /// (α = 1/8) over the iterations of every `run` on this executor,
+    /// each measured at its barrier as wall time × participants ÷
+    /// firings, or `None` before the first iteration completed. Feeds
     /// the granularity heuristic that decides whether a graph is worth
     /// distributing across workers.
     pub fn sampled_firing_cost_ns(&self) -> Option<u64> {

@@ -51,7 +51,7 @@ impl ProgressBeacon {
         }
     }
 
-    pub(super) fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         // `max(1)` keeps 0 reserved for "no progress ever".
         (self.epoch.elapsed().as_nanos() as u64).max(1)
     }

@@ -104,16 +104,6 @@ pub(crate) struct RunState {
     /// (0 until the first participant arrives): the barrier measures
     /// each iteration's firing cost from it.
     pub(super) barrier_ns: AtomicU64,
-    /// Per participation slot (indexed like `queues`): the beacon
-    /// timestamp since which the slot has had no work — its participant
-    /// hunting, parked, stood down or not yet joined — or 0 while it
-    /// fires. Starts at 1, idle since before the run; a participant
-    /// zeroes its slot when it joins and when it claims a firing after
-    /// a fruitless hunt.
-    pub(super) idle_since: Vec<AtomicU64>,
-    /// Idle nanoseconds of the spans that ended since the previous
-    /// barrier, each clipped to the iteration it ended in.
-    pub(super) idle_ns: AtomicU64,
     /// Called with the number of participants a barrier added, so the
     /// pool can wake that many hunting workers.
     pub(crate) on_widen: Option<Box<dyn Fn(usize) + Send + Sync>>,
@@ -220,8 +210,6 @@ impl Engine {
             vote_failures: AtomicU64::new(0),
             participants: AtomicUsize::new(workers.max(1)),
             barrier_ns: AtomicU64::new(0),
-            idle_since: (0..workers.max(1)).map(|_| AtomicU64::new(1)).collect(),
-            idle_ns: AtomicU64::new(0),
             on_widen: None,
             // Hints are deduplicated by the per-node `queued` flag, so
             // all queues together never hold more than one entry per
@@ -420,8 +408,6 @@ impl Engine {
             vote_failures: AtomicU64::new(checkpoint.metrics.vote_failures),
             participants: AtomicUsize::new(workers.max(1)),
             barrier_ns: AtomicU64::new(0),
-            idle_since: (0..workers.max(1)).map(|_| AtomicU64::new(1)).collect(),
-            idle_ns: AtomicU64::new(0),
             on_widen: None,
             queues: (0..workers.max(1))
                 .map(|_| Mutex::new(VecDeque::with_capacity(self.nodes.len() + 1)))

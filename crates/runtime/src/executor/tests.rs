@@ -286,8 +286,8 @@ fn many_iterations_stress_the_barrier() {
 
 #[test]
 fn firing_cost_ewma_reclassifies_between_runs() {
-    // The telemetry is a sliding median, not a cumulative average:
-    // after a compute-weighted run, a cheap registry on the SAME executor
+    // The telemetry is an EWMA, not a cumulative average: after a
+    // compute-weighted run, a cheap registry on the SAME executor
     // must bring the estimate back down within its own samples. A
     // cumulative mean stays anchored at ~half the heavy cost and
     // would keep misclassifying the fine-grained workload.
@@ -320,13 +320,13 @@ fn firing_cost_ewma_reclassifies_between_runs() {
 
     exec.run(&KernelRegistry::new()).unwrap();
     let after_cheap = exec.sampled_firing_cost_ns().expect("samples were taken");
-    // 100 cheap iterations fill the window many times over; a
+    // 100 cheap iterations decay the 100µs estimate by (7/8)^100; a
     // cumulative mean would still sit at ~after_heavy / 2. The 4×
     // bound keeps the assertion robust to scheduling noise while
     // cleanly separating the two behaviours.
     assert!(
         after_cheap < after_heavy / 4,
-        "the estimate must track the cheap registry: {after_cheap}ns vs {after_heavy}ns before"
+        "EWMA must track the cheap registry: {after_cheap}ns vs {after_heavy}ns before"
     );
 }
 

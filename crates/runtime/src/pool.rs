@@ -19,7 +19,7 @@
 //! [`RunState`], metrics and panic containment.
 //!
 //! The pool also owns the firing-cost telemetry
-//! ([`crate::executor::Executor::sampled_firing_cost_ns`]'s window):
+//! ([`crate::executor::Executor::sampled_firing_cost_ns`]'s EWMA):
 //! executors built through [`ExecutorPool::executor`] share it, so the
 //! granularity classification learned in one run — "this graph is too
 //! fine-grained to distribute" — survives into the next run *and* into
@@ -306,7 +306,7 @@ fn wait_finished(shared: &PoolShared, job: &Arc<PoolJob>) -> Result<RunOutcome, 
 /// A persistent executor worker pool multiplexed over a slot table of
 /// concurrently active jobs (see the module docs). Workers are spawned
 /// at construction, parked between jobs, shut down on drop; repeated
-/// runs pay **no spawn cost** and telemetry (firing-cost estimate,
+/// runs pay **no spawn cost** and telemetry (EWMA firing costs,
 /// granularity classification) carries across runs and across
 /// executors built through [`ExecutorPool::executor`].
 ///
@@ -447,10 +447,10 @@ impl ExecutorPool {
         self.handles.len()
     }
 
-    /// The pool-wide firing-cost estimate in nanoseconds (the median
-    /// of the last iterations measured on this pool through executors
-    /// built by [`ExecutorPool::executor`]), or `None` before the first
-    /// sample.
+    /// The pool-wide firing-cost estimate in nanoseconds (an EWMA over
+    /// the sampled firings of every run executed on this pool through
+    /// executors built by [`ExecutorPool::executor`]), or `None` before
+    /// the first sample.
     pub fn sampled_firing_cost_ns(&self) -> Option<u64> {
         self.telemetry.sampled_firing_cost_ns()
     }

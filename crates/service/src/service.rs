@@ -615,7 +615,7 @@ impl TpdfService {
         // `pool.executor`): one executor serves all the session's runs,
         // so granularity classification still carries across them —
         // without a cheap session's estimate freezing a heavy
-        // neighbour's runs at one worker (the pool-wide estimate is shared
+        // neighbour's runs at one worker (the pool-wide EWMA is shared
         // across heterogeneous graphs in a multi-tenant service).
         let compiled = Executor::new(graph, config)?.compile();
         self.admit(compiled, registry, None, slo.filter(|s| !s.is_empty()))

@@ -1,7 +1,7 @@
 //! Reuse guarantees of the persistent [`ExecutorPool`]: repeated runs
 //! on one pool must keep its worker count constant, must report
 //! *per-run* metrics (nothing accumulates across runs), and must carry
-//! the firing-cost estimate across runs — a fine-grained graph classified
+//! the firing-cost EWMA across runs — a fine-grained graph classified
 //! in run 1 starts run 2 on the collapsed single-worker fast path
 //! without re-sampling from scratch, and a heavy graph measured on
 //! short single-worker runs keeps its second worker. (That no run leaks an OS thread
@@ -161,7 +161,7 @@ fn concurrent_jobs_tally_worker_metrics_per_job() {
     }
 }
 
-/// The firing-cost telemetry carries across runs: a fine-grained graph is
+/// The EWMA telemetry carries across runs: a fine-grained graph is
 /// classified during run 1, and run 2 starts already collapsed to the
 /// single-worker fast path (`effective_workers == 1`) — with a
 /// *different* binding sequence, proving the carry-over is on the pool,
@@ -208,7 +208,7 @@ fn telemetry_carries_over_and_collapses_run_two() {
     assert_eq!(
         metrics2.effective_workers, 1,
         "run 2 must start on the collapsed single-worker path \
-         (pool estimate after run 1: {learned} ns)"
+         (pool EWMA after run 1: {learned} ns)"
     );
     assert_eq!(metrics2.iterations, 3);
 }
