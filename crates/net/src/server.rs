@@ -13,35 +13,25 @@
 //! sweep only moves bytes and frames.
 //!
 //! A sweep that moves nothing ends in one blocking wait (`ppoll(2)` on
-//! Linux) over the listener, every connection that is being read or
-//! has bytes to write, and a wake socket. The service calls the
-//! server's waker (registered with
-//! [`tpdf_service::TpdfService::add_waker`]) on every run completion,
-//! dispatch, close and cancel, which writes one byte to that socket —
-//! so a `Barrier` is read as soon as it arrives and a finished run's
-//! `Result` is sent as soon as the run ends, not on a timer. The waker
-//! does nothing when the loop thread itself made the change (its own
-//! `submit`, `close` or `cancel`, and a run those complete inline):
-//! the sweep that made it already counts as progress, so another
-//! sweep follows without waiting. While
-//! anything is in flight (a pending or parked barrier, unsent output,
-//! a paused or closing connection) the wait is capped at
-//! [`NetConfig::poll_interval`], so a missed wake costs at most one
-//! interval; with nothing in flight the loop sleeps until the nearest
-//! idle-eviction deadline. Other platforms sleep `poll_interval` after
-//! such a sweep.
-//!
-//! Under load the loop polls on a fixed cadence instead, as a network
-//! driver switches from interrupts to polling when busy: while two or
-//! more submitted runs await their results, a sweep that moves nothing
-//! is followed by a 300 µs sleep (or `poll_interval`, if shorter), and
-//! the next sweep collects every result and frame that came in
-//! meanwhile. A wake per completion would cost a cross-CPU wake-up per
-//! result and have the I/O thread contend with the pool workers for
-//! the CPU at the end of every run, which leaves a saturated server's
-//! rate to the host's scheduling noise; on a cadence it is set by the
-//! cadence. With one run outstanding the loop is woken the moment it
-//! ends, which is the latency a lightly loaded server sees.
+//! Linux) over the listener, every connection that is being read or has
+//! bytes to write, and a wake socket. The service calls the server's
+//! waker (registered with [`tpdf_service::TpdfService::add_waker`]) on
+//! every run completion, dispatch, close and cancel, which writes one
+//! byte to that socket — so a `Barrier` is read as soon as it arrives
+//! and a finished run's `Result` is sent as soon as the run ends, not
+//! on a timer. That holds under any load: wakes that come in while a
+//! byte is still unread merge into it, and the sweep that follows
+//! drains every finished result of every connection. The waker does
+//! nothing when the loop thread itself made the change (its own
+//! `submit`, `close` or `cancel`, and a run those complete inline): the
+//! sweep that made it already counts as progress, so another sweep
+//! follows without waiting. While anything is in flight (a pending or
+//! parked barrier, unsent output, a paused or closing connection) the
+//! wait is capped at [`NetConfig::poll_interval`], so a missed wake
+//! costs at most one interval; with nothing in flight the loop sleeps
+//! until the nearest idle-eviction deadline. Platforms without `ppoll`
+//! sleep `poll_interval` after every sweep that moves nothing, loaded
+//! or not.
 //!
 //! # Backpressure, end to end
 //!
@@ -95,10 +85,6 @@ use crate::frame::{write_frame, BackoffReason, Frame, FrameReader};
 use crate::metrics::NetMetrics;
 use crate::sys::Waiter;
 
-/// The sweep cadence while two or more submitted runs await their
-/// results (see the module docs).
-const LOADED_SWEEP: Duration = Duration::from_micros(300);
-
 /// Hard bound on buffered feed depth, in multiples of the configured
 /// high-water mark: a connection whose unconsumed records exceed
 /// `FEED_HARD_CAP_RUNS ×` [`NetConfig::feed_runs`] runs is closed
@@ -130,13 +116,13 @@ pub struct NetConfig {
     pub write_stall_timeout: Duration,
     /// The longest the loop waits after a sweep that moved nothing
     /// while work is in flight (a pending or parked barrier, unsent
-    /// output, a paused or closing connection). It wakes earlier when a
-    /// socket becomes ready or the service reports a state change; with
-    /// nothing in flight it waits only for those and for the next
-    /// idle eviction. While two or more runs await their results the
-    /// loop sweeps every 300 µs instead, or every `poll_interval` if
-    /// that is shorter. Platforms without the readiness wait sleep this
-    /// long after every such sweep.
+    /// output, a paused or closing connection), however many runs are
+    /// outstanding: it wakes earlier when a socket becomes ready or the
+    /// service reports a state change, so the interval only bounds what
+    /// a missed wake costs. With nothing in flight the loop waits only
+    /// for those and for the next idle eviction. Platforms without the
+    /// readiness wait sleep this long after every sweep that moved
+    /// nothing, loaded or not.
     pub poll_interval: Duration,
     /// Feed high-water mark, in runs: buffered input tokens beyond
     /// `feed_runs × tokens_per_run` pause reads from the connection.
@@ -438,14 +424,8 @@ impl Loop {
     }
 
     /// Blocks until a socket is ready, the service reports a state
-    /// change, or the next timed event is due; under load, sleeps one
-    /// [`LOADED_SWEEP`] instead (see the module docs).
+    /// change, or the next timed event is due (see the module docs).
     fn wait(&mut self) {
-        let outstanding: usize = self.conns.iter().map(|conn| conn.pending.len()).sum();
-        if outstanding >= 2 {
-            std::thread::sleep(self.config.poll_interval.min(LOADED_SWEEP));
-            return;
-        }
         let now = Instant::now();
         let mut in_flight = false;
         let mut next_eviction: Option<Duration> = None;

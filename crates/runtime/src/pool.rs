@@ -16,7 +16,7 @@
 //! with [`ExecutorPool::detached`] owns all its workers and needs no
 //! caller — the substrate of `tpdf-service`'s multi-session layer: many
 //! graph instances share one pool, each with its own isolated
-//! [`RunState`], metrics and panic containment.
+//! `RunState`, metrics and panic containment.
 //!
 //! The pool also owns the firing-cost telemetry
 //! ([`crate::executor::Executor::sampled_firing_cost_ns`]'s EWMA):
@@ -31,7 +31,7 @@
 //!
 //! One mutex-guarded queue holds every job still accepting
 //! participants. A job has `workers` participation slots (its
-//! [`RunState`] is sized accordingly) and a *participant count* of at
+//! `RunState` is sized accordingly) and a *participant count* of at
 //! most that many: [`ExecutorPool::submit`] sets it, and from then on
 //! only the job's iteration barrier changes it. Idle pool workers
 //! *hunt* the queue in FIFO order and claim the next participation

@@ -575,6 +575,49 @@ fn sequential_round_trips_are_woken_not_timed() {
     server.shutdown();
 }
 
+/// Two connections each keep two runs in flight, so the loop always
+/// has results outstanding: every `Result` must still leave when its
+/// run ends, woken by the completion, and not when the 5 s interval
+/// runs out.
+#[test]
+fn pipelined_round_trips_are_woken_not_timed() {
+    const ROUNDS: u64 = 200;
+    let (_service, server, records, solo) = five_second_interval_server(2, None);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client = NetClient::connect(server.local_addr()).expect("connect");
+                client.hello("ofdm").expect("hello");
+                for seq in 0..2 {
+                    client.records(&records).expect("records");
+                    client.barrier(seq).expect("barrier");
+                }
+                for seq in 0..ROUNDS {
+                    let (got_seq, tokens) = client.result().expect("result");
+                    assert_eq!(got_seq, seq, "results out of order");
+                    assert_eq!(
+                        tokens, solo,
+                        "pipelined run {seq} diverges from the solo run"
+                    );
+                    assert!(
+                        start.elapsed() < Duration::from_millis(2500),
+                        "{} pipelined rounds took {:?}: the loop waits on its timer",
+                        seq + 1,
+                        start.elapsed()
+                    );
+                    if seq + 2 < ROUNDS {
+                        client.records(&records).expect("records");
+                        client.barrier(seq + 2).expect("barrier");
+                    }
+                }
+                client.bye().expect("bye");
+            });
+        }
+    });
+    server.shutdown();
+}
+
 /// Barriers refused by a full ingress queue are parked and must be
 /// retried when a run completes, not when the interval runs out.
 #[test]
