@@ -22,13 +22,16 @@ impl Engine {
     ///
     /// TPDF changes parameters only at iteration boundaries, and the
     /// degree of parallelism follows the same rule: this is the one
-    /// place a running job's participant count changes.
+    /// place a running job's participant count changes. Returns whether
+    /// it lowered the count: the attempt that ran the barrier then
+    /// wakes every parked participant, so the ones above the new count
+    /// stand down.
     pub(super) fn iteration_barrier(
         &self,
         state: &RunState,
         me: usize,
         arena: &mut SlabArena<Token>,
-    ) {
+    ) -> bool {
         let tracer = self.trace();
         // The iteration index being finished (0-based), for the trace
         // events bracketing the barrier.
@@ -71,6 +74,7 @@ impl Engine {
         self.telemetry
             .record(since * participants / firings, firings);
         let finished = state.iteration.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut lowered = false;
         if finished >= self.config.iterations {
             self.complete_run(state);
         } else {
@@ -140,7 +144,8 @@ impl Engine {
             }
             // Re-decide the participant count (Virtual clocks only, as
             // at submit). Surplus participants leave at their next loop
-            // pass; a raise asks the pool for more.
+            // pass — parked ones once woken; a raise asks the pool for
+            // more.
             let slots = state.queues.len();
             if slots > 1 && matches!(self.config.clock_mode, ClockMode::Virtual) {
                 let next = if self.telemetry.fine_grained() {
@@ -149,6 +154,7 @@ impl Engine {
                     slots
                 };
                 let before = state.participants.swap(next, Ordering::Relaxed);
+                lowered = next < before;
                 if next > before {
                     if let Some(widen) = &state.on_widen {
                         widen(next - before);
@@ -166,5 +172,6 @@ impl Engine {
                 finishing,
             );
         }
+        lowered
     }
 }

@@ -1,6 +1,7 @@
 //! The firing path: the two participant loops and the claim →
 //! execute → publish pipeline they share.
 
+use super::stall::{wake, ALL};
 use super::state::RunState;
 use super::{mode_code, ClockMode, Engine};
 use crate::arena::{ArenaStats, SlabArena};
@@ -178,10 +179,7 @@ impl Engine {
             //    makes progress). A parked peer may be waiting on work
             //    this participant would have taken: wake it first.
             if me >= state.participants.load(Ordering::Relaxed) {
-                if state.parked.load(Ordering::SeqCst) > 0 {
-                    drop(state.park.lock().expect("park lock"));
-                    state.cond.notify_all();
-                }
+                wake(state, ALL);
                 break true;
             }
             // The progress word is loaded before looking for work so
@@ -810,15 +808,16 @@ impl Engine {
 
     /// Commits a published firing: advances the node's counters,
     /// releases the claim, enqueues the affected neighbours and handles
-    /// the iteration barrier. Returns whether the hints are worth
-    /// waking a parked peer for (see [`Engine::enqueue_candidates`]).
+    /// the iteration barrier. Returns how many parked peers to wake:
+    /// one per queued hint beyond the one this worker takes itself, or
+    /// [`ALL`] when the barrier lowered the participant count.
     pub(super) fn finish_firing(
         &self,
         state: &RunState,
         me: usize,
         node: usize,
         scratch: &mut FireScratch,
-    ) -> bool {
+    ) -> usize {
         let ns = &state.nodes[node];
         // The budget decrement precedes the claim release: the next
         // claimant's successful CAS pairs with the Release below, so it
@@ -827,21 +826,20 @@ impl Engine {
         ns.fired_total.fetch_add(1, Ordering::Relaxed);
         state.worker_firings[me].fetch_add(1, Ordering::Relaxed);
         ns.claimed.store(false, Ordering::Release);
-        let surplus = self.enqueue_candidates(state, me, node);
-        if state.remaining_iter.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.iteration_barrier(state, me, &mut scratch.arena);
+        let queued = self.enqueue_candidates(state, me, node);
+        if state.remaining_iter.fetch_sub(1, Ordering::AcqRel) == 1
+            && self.iteration_barrier(state, me, &mut scratch.arena)
+        {
+            return ALL;
         }
-        surplus
+        queued.saturating_sub(1)
     }
 
     /// Enqueues the nodes whose readiness may have changed onto this
     /// worker's own queue (deduplicated through the per-node `queued`
-    /// flag); idle peers steal from it.
-    ///
-    /// Returns `true` when the queue holds more than this worker will
-    /// immediately consume itself — more than one hint — the signal
-    /// that waking a parked peer is worthwhile.
-    fn enqueue_candidates(&self, state: &RunState, me: usize, node: usize) -> bool {
+    /// flag); idle peers steal from it. Returns the queue's length after
+    /// the last push (0 when nothing was pushed).
+    fn enqueue_candidates(&self, state: &RunState, me: usize, node: usize) -> usize {
         let real_time = matches!(self.config.clock_mode, ClockMode::RealTime { .. });
         let mut queued = 0usize;
         // Holding the guard across the loop would serialise against
@@ -864,6 +862,6 @@ impl Engine {
             queue.push_back(cand);
             queued = queue.len();
         }
-        queued > 1
+        queued
     }
 }

@@ -167,9 +167,6 @@ pub struct RuntimeConfig {
     /// run ahead. Control rings are sized by their per-iteration
     /// production, which bounds their occupancy exactly.
     pub capacity_slack: u64,
-    /// Safety net: a worker finding nothing to do wakes up after this
-    /// long to re-check for stalls.
-    pub stall_timeout: Duration,
     /// Structured tracing sink (see [`tpdf_trace::Tracer`]). `None`
     /// costs a pointer null-check per instrumentation site; an
     /// installed-but-disabled tracer costs one `Relaxed` load plus a
@@ -197,7 +194,6 @@ impl RuntimeConfig {
             iterations: 1,
             clock_mode: ClockMode::Virtual,
             capacity_slack: 2,
-            stall_timeout: Duration::from_millis(100),
             tracer: None,
             trace_tag: 0,
         }
@@ -648,7 +644,7 @@ pub struct CompiledExecutor {
 impl CompiledExecutor {
     /// The configuration the compiled runs execute under.
     pub fn config(&self) -> &RuntimeConfig {
-        self.engine.config()
+        &self.engine.config
     }
 
     /// The per-iteration repetition count of every node (first phase's
@@ -688,11 +684,6 @@ impl CompiledExecutor {
 }
 
 impl Engine {
-    /// The configuration this engine runs under.
-    pub(crate) fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// The plan index of iteration `k`.
     fn phase_of(&self, iteration: u64) -> usize {
         (iteration as usize).min(self.plans.len() - 1)

@@ -124,7 +124,7 @@ const COMMIT: u64 = 1 << 32;
 const OPEN_MASK: u64 = COMMIT - 1;
 
 #[cfg(test)]
-type VerdictHook = fn(&Engine, &RunState);
+pub(super) type VerdictHook = fn(&Engine, &RunState);
 
 #[cfg(test)]
 thread_local! {
@@ -135,20 +135,35 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
+/// [`wake`]'s count for "every parked worker".
+pub(super) const ALL: usize = usize::MAX;
+
+/// The one notify of [`RunState::cond`]: wakes `n` parked workers,
+/// capped by the number parked. Passing through the park lock first is
+/// what makes the wake exact: a parker that counted itself in `parked`
+/// holds the lock from its verdict until it waits, so a notify sent
+/// after the caller's change to the state a parker tests (the progress
+/// word, `halt`) lands on a waiting thread — and a parker that takes
+/// the lock later sees the change.
+pub(super) fn wake(state: &RunState, n: usize) {
+    let n = n.min(state.parked.load(Ordering::SeqCst));
+    if n > 0 {
+        drop(state.park.lock().expect("park lock"));
+        for _ in 0..n {
+            state.cond.notify_one();
+        }
+    }
+}
+
 /// Stops the run: records `error` (the first one wins) or, for `None`,
 /// completion, and raises `halt` — both under the held park lock —
-/// then wakes every parked worker. The one place `halt` is stored and
-/// the one teardown notify.
+/// then wakes every parked worker. The one place `halt` is stored.
 fn halt(state: &RunState, mut park: MutexGuard<'_, ParkInner>, error: Option<RuntimeError>) {
-    match error {
-        Some(error) => {
-            park.error.get_or_insert(error);
-        }
-        None => park.done = true,
-    }
+    park.done |= error.is_none();
+    park.error = park.error.take().or(error);
     state.halt.store(true, Ordering::SeqCst);
     drop(park);
-    state.cond.notify_all();
+    wake(state, ALL);
 }
 
 impl Engine {
@@ -164,13 +179,16 @@ impl Engine {
     /// firing together, anything else only closes it. Returns whether
     /// a firing was committed (successfully or not).
     ///
-    /// The wake comes after the leave: a parker that saw this attempt
-    /// still open holds the park lock until it waits, so passing
-    /// through the lock guarantees it is waiting when the notify lands.
-    /// Completion chains with no surplus continue on this worker alone
-    /// — waking peers for work it is about to take itself only burns
-    /// context switches (ruinous on few-core hosts); parked workers
-    /// also rescan on their stall timeout.
+    /// The [`wake`] comes after the leave, so a parker that saw this
+    /// attempt open either sees the leave at its verdict or is waiting
+    /// when the notify lands. It wakes one parker per hint the firing
+    /// left beyond the one this worker takes itself — every parker when
+    /// the firing's barrier lowered the participant count, so that a
+    /// parked participant above the new count stands down (see
+    /// [`Engine::finish_firing`]). A completion chain with no
+    /// surplus continues on this worker alone: waking peers for work
+    /// it is about to take itself only burns context switches (ruinous
+    /// on few-core hosts).
     pub(super) fn attempt(
         &self,
         state: &RunState,
@@ -185,7 +203,7 @@ impl Engine {
             .claimed
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok();
-        let surplus = match claimed.then(|| body(scratch)).flatten() {
+        let wakes = match claimed.then(|| body(scratch)).flatten() {
             None => {
                 if claimed {
                     ns.claimed.store(false, Ordering::Release);
@@ -196,14 +214,11 @@ impl Engine {
             Some(Ok(())) => self.finish_firing(state, me, node, scratch),
             Some(Err(error)) => {
                 self.fail(state, error);
-                false
+                0
             }
         };
         state.progress.fetch_add(COMMIT - OPEN, Ordering::SeqCst);
-        if surplus && state.parked.load(Ordering::SeqCst) > 0 {
-            drop(state.park.lock().expect("park lock"));
-            state.cond.notify_one();
-        }
+        wake(state, wakes);
         true
     }
 
@@ -219,6 +234,19 @@ impl Engine {
     /// to an attempt that has since closed without firing. With no
     /// real-time clock tick pending either, the graph can never make
     /// progress again.
+    ///
+    /// Otherwise the worker waits for a [`wake`] — or, when a
+    /// real-time tick is pending, for that tick — and nothing else:
+    /// no stall verdict needs a timer. A worker waits on an unchanged
+    /// word only while `seen` counts some attempt open, and that
+    /// attempt belongs to a worker that is not parked. It closes before
+    /// its worker next evaluates a verdict, and closing it changes the
+    /// word. So the last worker to evaluate a verdict either finds the
+    /// word changed and rescans, or finds no attempt open and proves
+    /// the stall — whose halt wakes everyone. Completion, failure and
+    /// cancellation halt the same way, and the other changes a parker
+    /// must act on wake it exactly: surplus hints, a participant
+    /// standing down, a barrier lowering the participant count.
     pub(super) fn park(&self, state: &RunState, me: usize, seen: u64, start: Instant) {
         state.parked.fetch_add(1, Ordering::SeqCst);
         let guard = state.park.lock().expect("park lock");
@@ -234,18 +262,14 @@ impl Engine {
             if seen & OPEN_MASK == 0 && next_tick.is_none() {
                 halt(state, guard, Some(self.stall_error(state)));
             } else {
-                let timeout = next_tick.unwrap_or(self.config.stall_timeout);
                 let tracer = self.trace();
                 if let Some(t) = tracer {
                     t.event(me, EventKind::Park, state.trace_job, 0, 0, 0);
                 }
-                drop(
-                    state
-                        .cond
-                        .wait_timeout(guard, timeout)
-                        .expect("park lock")
-                        .0,
-                );
+                drop(match next_tick {
+                    Some(tick) => state.cond.wait_timeout(guard, tick).expect("park lock").0,
+                    None => state.cond.wait(guard).expect("park lock"),
+                });
                 if let Some(t) = tracer {
                     t.event(me, EventKind::Wake, state.trace_job, 0, 0, 0);
                 }

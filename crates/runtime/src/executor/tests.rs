@@ -463,8 +463,7 @@ fn stall_error_without_tracer_lists_budgets_only() {
 #[test]
 fn commit_racing_the_stall_verdict_is_not_a_stall() {
     let g = figure2_graph();
-    let mut config = RuntimeConfig::new(binding(2)).with_threads(2);
-    config.stall_timeout = Duration::from_millis(1);
+    let config = RuntimeConfig::new(binding(2)).with_threads(2);
     let executor = Executor::new(&g, config).unwrap();
     let engine = &executor.engine;
     let state = engine.initial_state(2);
@@ -495,14 +494,43 @@ fn commit_racing_the_stall_verdict_is_not_a_stall() {
     assert!(!state.halt.load(Ordering::SeqCst));
 }
 
+/// Spawns participant `me` of `state` on its own thread, installing
+/// `hook` as its [`stall::BEFORE_VERDICT`]. A plain spawned thread, not
+/// a scoped one: a participant that misses its wake then fails the
+/// test's bounded wait instead of hanging the scope's join.
+fn spawn_participant(
+    engine: &Arc<Engine>,
+    state: &Arc<RunState>,
+    me: usize,
+    registry: &Arc<KernelRegistry>,
+    start: Instant,
+    hook: Option<stall::VerdictHook>,
+) -> std::thread::JoinHandle<bool> {
+    let (engine, state, registry) = (Arc::clone(engine), Arc::clone(state), Arc::clone(registry));
+    std::thread::spawn(move || {
+        stall::BEFORE_VERDICT.set(hook);
+        engine.participate(&state, me, &registry, start)
+    })
+}
+
+/// Whether `handle`'s thread has finished by `deadline` (polled).
+fn finished_by<T>(handle: &std::thread::JoinHandle<T>, deadline: Instant) -> bool {
+    while !handle.is_finished() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
 /// A participant that stands down while its peer is parked wakes the
 /// peer: its last commit may leave exactly the work the peer waits
 /// for, with no surplus to trigger the commit-side notify. Worker 1
 /// holds `x`'s only firing while worker 0 parks (the verdict hook
 /// proves it reached the park, and the park lock that it is waiting);
 /// then the participant count drops to 1 and `x` completes. Without
-/// the wake, worker 0 sleeps out the 10 s stall timeout before firing
-/// `y`.
+/// the wake, worker 0 stays parked for good.
 #[test]
 fn a_participant_that_stands_down_wakes_its_parked_peer() {
     use std::sync::atomic::AtomicBool;
@@ -516,11 +544,10 @@ fn a_participant_that_stands_down_wakes_its_parked_peer() {
         .channel("x", "y", RateSeq::constant(1), RateSeq::constant(1), 0)
         .build()
         .unwrap();
-    let mut config = RuntimeConfig::new(Binding::new()).with_threads(2);
-    config.stall_timeout = Duration::from_secs(10);
+    let config = RuntimeConfig::new(Binding::new()).with_threads(2);
     let executor = Executor::new(&g, config).unwrap();
     let engine = &executor.engine;
-    let state = engine.initial_state(2);
+    let state = Arc::new(engine.initial_state(2));
     let entered = Arc::new(AtomicBool::new(false));
     let released = Arc::new(AtomicBool::new(false));
     let mut registry = KernelRegistry::new();
@@ -535,32 +562,208 @@ fn a_participant_that_stands_down_wakes_its_parked_peer() {
             Ok(())
         });
     }
+    let registry = Arc::new(registry);
     let start = Instant::now();
-    std::thread::scope(|s| {
-        let holder = s.spawn(|| engine.participate(&state, 1, &registry, start));
-        while !entered.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        let peer = s.spawn(|| {
-            stall::BEFORE_VERDICT.set(Some(at_verdict));
-            engine.participate(&state, 0, &registry, start)
-        });
-        while !PEER_AT_VERDICT.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        // The peer holds the park lock from its verdict until it waits.
-        drop(state.park.lock().unwrap());
-        state.participants.store(1, Ordering::Relaxed);
-        released.store(true, Ordering::SeqCst);
-        assert!(holder.join().unwrap(), "worker 1 must stand down");
-        assert!(!peer.join().unwrap(), "worker 0 must finish the run");
-    });
+    let holder = spawn_participant(engine, &state, 1, &registry, start, None);
+    while !entered.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let peer = spawn_participant(engine, &state, 0, &registry, start, Some(at_verdict));
+    while !PEER_AT_VERDICT.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    // The peer holds the park lock from its verdict until it waits.
+    drop(state.park.lock().unwrap());
+    state.participants.store(1, Ordering::Relaxed);
+    released.store(true, Ordering::SeqCst);
+    assert!(holder.join().unwrap(), "worker 1 must stand down");
+    assert!(
+        finished_by(&peer, start + Duration::from_secs(5)),
+        "worker 0 never came back from its park"
+    );
+    assert!(!peer.join().unwrap(), "worker 0 must finish the run");
     assert!(state.park.lock().unwrap().done);
     assert!(
         start.elapsed() < Duration::from_secs(5),
         "worker 0 slept out its stall timeout: {:?}",
         start.elapsed()
     );
+}
+
+/// A commit that leaves more hints than its worker takes itself wakes
+/// one parked peer per surplus hint. Two peers park on worker 0's open
+/// attempt (the verdict hook proves both reached the park, and the
+/// park lock that both are waiting); the source firing it commits fans
+/// out to four consumers, so its queue holds four hints and both peers
+/// must come back from `park` at once. A single wake per commit brings
+/// back one of them.
+#[test]
+fn a_fan_out_commit_wakes_one_parked_peer_per_surplus_hint() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    static AT_VERDICT: AtomicUsize = AtomicUsize::new(0);
+    fn at_verdict(_: &Engine, _: &RunState) {
+        AT_VERDICT.fetch_add(1, Ordering::SeqCst);
+    }
+    const PEERS: usize = 2;
+    let mut builder = TpdfGraph::builder().kernel("src");
+    for i in 0..4 {
+        let name = format!("w{i}");
+        builder = builder.kernel(&name).channel(
+            "src",
+            &name,
+            RateSeq::constant(1),
+            RateSeq::constant(1),
+            0,
+        );
+    }
+    let g = builder.build().unwrap();
+    let config = RuntimeConfig::new(Binding::new()).with_threads(PEERS + 1);
+    let executor = Executor::new(&g, config).unwrap();
+    let engine = Arc::clone(&executor.engine);
+    let state = Arc::new(engine.initial_state(PEERS + 1));
+    let entered = Arc::new(AtomicBool::new(false));
+    let released = Arc::new(AtomicBool::new(false));
+    let mut registry = KernelRegistry::new();
+    {
+        let (entered, released) = (Arc::clone(&entered), Arc::clone(&released));
+        registry.register_fn("src", move |ctx| {
+            entered.store(true, Ordering::SeqCst);
+            while !released.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            ctx.fill_outputs_cycling(&[Token::Int(1)]);
+            Ok(())
+        });
+    }
+    let source = engine.nodes.iter().position(|n| &*n.name == "src").unwrap();
+    let committer = {
+        let (engine, state) = (Arc::clone(&engine), Arc::clone(&state));
+        std::thread::spawn(move || {
+            let mut scratch = fire::FireScratch::default();
+            let start = Instant::now();
+            engine.try_fire(
+                &state,
+                0,
+                source,
+                false,
+                &registry,
+                start,
+                false,
+                &mut scratch,
+            )
+        })
+    };
+    while !entered.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    // Loaded while the source's attempt is open: the peers wait for a
+    // wake instead of proving a stall.
+    let seen = state.progress.load(Ordering::SeqCst);
+    let peers: Vec<_> = (1..=PEERS)
+        .map(|me| {
+            let (engine, state) = (Arc::clone(&engine), Arc::clone(&state));
+            std::thread::spawn(move || {
+                stall::BEFORE_VERDICT.set(Some(at_verdict));
+                engine.park(&state, me, seen, Instant::now());
+            })
+        })
+        .collect();
+    while AT_VERDICT.load(Ordering::SeqCst) < PEERS {
+        std::thread::yield_now();
+    }
+    // The last peer at its verdict holds the park lock until it waits.
+    drop(state.park.lock().unwrap());
+    released.store(true, Ordering::SeqCst);
+    assert!(committer.join().unwrap(), "the source must fire");
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let hints = state.queues[0].lock().unwrap().len();
+    assert!(
+        hints > PEERS,
+        "the commit must leave a hint per peer and one more, got {hints}"
+    );
+    for (i, peer) in peers.iter().enumerate() {
+        assert!(
+            finished_by(peer, deadline),
+            "peer {} of {PEERS} is still parked 1 s after a commit that left {hints} hints",
+            i + 1
+        );
+    }
+    for peer in peers {
+        peer.join().unwrap();
+    }
+}
+
+/// A barrier that lowers the participant count wakes the parked
+/// participants: the one above the new count stands down at once
+/// instead of staying parked while the run goes on without it. Worker
+/// 0 holds `x`'s first firing while participant 1 parks; the telemetry
+/// is primed fine-grained and the first iteration's measured cost
+/// forced to 0 ns, so the barrier after `y` lowers the count to 1.
+/// `x`'s second firing then holds the run open until participant 1 has
+/// answered.
+#[test]
+fn a_barrier_that_lowers_the_count_wakes_parked_participants() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    static PEER_AT_VERDICT: AtomicBool = AtomicBool::new(false);
+    fn at_verdict(_: &Engine, _: &RunState) {
+        PEER_AT_VERDICT.store(true, Ordering::SeqCst);
+    }
+    let g = TpdfGraph::builder()
+        .kernel("x")
+        .kernel("y")
+        .channel("x", "y", RateSeq::constant(1), RateSeq::constant(1), 0)
+        .build()
+        .unwrap();
+    let config = RuntimeConfig::new(Binding::new())
+        .with_threads(2)
+        .with_iterations(2);
+    let executor = Executor::new(&g, config).unwrap();
+    let engine = &executor.engine;
+    engine.telemetry.record(0, WARM_UP_FIRINGS);
+    let state = Arc::new(engine.initial_state(2));
+    // A start "in the future": the barrier's saturating difference
+    // measures the first iteration as 0 ns.
+    state.barrier_ns.store(u64::MAX, Ordering::Relaxed);
+    // One gate per firing of `x`, with an "entered" flag for the first.
+    let entered = Arc::new(AtomicBool::new(false));
+    let gates = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+    let mut registry = KernelRegistry::new();
+    {
+        let (entered, gates) = (Arc::clone(&entered), Arc::clone(&gates));
+        let fired = AtomicUsize::new(0);
+        registry.register_fn("x", move |ctx| {
+            let gate = &gates[fired.fetch_add(1, Ordering::SeqCst).min(1)];
+            entered.store(true, Ordering::SeqCst);
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            ctx.fill_outputs_cycling(&[Token::Int(1)]);
+            Ok(())
+        });
+    }
+    let registry = Arc::new(registry);
+    let start = Instant::now();
+    let holder = spawn_participant(engine, &state, 0, &registry, start, None);
+    while !entered.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let peer = spawn_participant(engine, &state, 1, &registry, start, Some(at_verdict));
+    while !PEER_AT_VERDICT.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    // The peer holds the park lock from its verdict until it waits.
+    drop(state.park.lock().unwrap());
+    gates[0].store(true, Ordering::SeqCst);
+    let answered = finished_by(&peer, Instant::now() + Duration::from_secs(1));
+    // Let the run finish either way: its halt wakes a stuck peer.
+    gates[1].store(true, Ordering::SeqCst);
+    assert!(
+        answered,
+        "participant 1 stayed parked after the barrier lowered the count"
+    );
+    assert!(peer.join().unwrap(), "participant 1 must stand down");
+    assert!(!holder.join().unwrap(), "worker 0 must finish the run");
+    assert!(state.park.lock().unwrap().done);
 }
 
 #[test]

@@ -973,7 +973,7 @@ mod tests {
         let short_ticket = submit(&pool, &short, &registry);
         // The freed secondary must pick the short job up and finish it
         // long before the 20k-iteration job ends (generous deadline —
-        // the stand-down is bounded by the stall timeout).
+        // the barrier that lowers the count wakes the parked secondary).
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
         while !short_ticket.is_finished() {
             assert!(

@@ -653,7 +653,8 @@ fn restore_rejects_wrong_graph_and_spent_checkpoints() {
 /// whose channel contents contradict the graph. Figure 4(a)'s B ⇄ C
 /// cycle lives on its two initial tokens; a cut with them removed must
 /// be reported as a stall naming B and C, promptly, at every worker
-/// count — a stall verdict that could never fire fails the 1 s bound.
+/// count, more workers than CPUs included — a stall verdict that could
+/// never fire fails the 1 s bound.
 #[test]
 fn restore_without_the_cycle_tokens_reports_a_stall() {
     let graph = figure4a_graph();
@@ -670,7 +671,7 @@ fn restore_without_the_cycle_tokens_reports_a_stall() {
     assert_eq!(contents.len(), 2, "the cut holds the cycle's two tokens");
     *contents = ChannelContents::Data(Vec::new());
 
-    for threads in [1, 2, 4] {
+    for threads in [1, 2, 4, 8] {
         let (graph, checkpoint) = (graph.clone(), checkpoint.clone());
         let config = config.clone().with_threads(threads).with_iterations(2);
         let (sender, receiver) = std::sync::mpsc::channel();
