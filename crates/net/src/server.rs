@@ -25,13 +25,12 @@
 //! nothing when the loop thread itself made the change (its own
 //! `submit`, `close` or `cancel`, and a run those complete inline): the
 //! sweep that made it already counts as progress, so another sweep
-//! follows without waiting. While anything is in flight (a pending or
-//! parked barrier, unsent output, a paused or closing connection) the
-//! wait is capped at [`NetConfig::poll_interval`], so a missed wake
-//! costs at most one interval; with nothing in flight the loop sleeps
-//! until the nearest idle-eviction deadline. Platforms without `ppoll`
-//! sleep `poll_interval` after every sweep that moves nothing, loaded
-//! or not.
+//! follows without waiting. No timer stands in for a missed wake: the
+//! wait's only timeout is the nearest eviction deadline (idle or
+//! write-stalled, one rule for the wait and the eviction), and with no
+//! connection the loop blocks until a client connects or the server
+//! shuts down. Platforms without `ppoll` sleep a fixed 500 µs after
+//! every sweep that moves nothing.
 //!
 //! # Backpressure, end to end
 //!
@@ -113,17 +112,11 @@ pub struct NetConfig {
     pub idle_timeout: Duration,
     /// A connection whose outgoing buffer makes no progress for this
     /// long (a slow client not draining its results) is evicted.
+    ///
+    /// These two timeouts are the loop's only timers: it sleeps until a
+    /// socket is ready, the service reports a state change, or the
+    /// nearest connection's eviction deadline passes.
     pub write_stall_timeout: Duration,
-    /// The longest the loop waits after a sweep that moved nothing
-    /// while work is in flight (a pending or parked barrier, unsent
-    /// output, a paused or closing connection), however many runs are
-    /// outstanding: it wakes earlier when a socket becomes ready or the
-    /// service reports a state change, so the interval only bounds what
-    /// a missed wake costs. With nothing in flight the loop waits only
-    /// for those and for the next idle eviction. Platforms without the
-    /// readiness wait sleep this long after every sweep that moved
-    /// nothing, loaded or not.
-    pub poll_interval: Duration,
     /// Feed high-water mark, in runs: buffered input tokens beyond
     /// `feed_runs × tokens_per_run` pause reads from the connection.
     pub feed_runs: u64,
@@ -136,7 +129,6 @@ impl Default for NetConfig {
             max_frame_bytes: 16 << 20,
             idle_timeout: Duration::from_secs(30),
             write_stall_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_micros(500),
             feed_runs: 2,
         }
     }
@@ -370,7 +362,8 @@ struct Conn {
     closing: bool,
     bye_sent: bool,
     last_read: Instant,
-    /// Last instant the outgoing buffer made progress (or was empty).
+    /// Last instant the outgoing buffer made progress or stopped being
+    /// empty.
     last_write_progress: Instant,
     /// Set when the connection is finished; reaped at sweep end.
     dead: Option<u64>,
@@ -378,8 +371,27 @@ struct Conn {
 
 impl Conn {
     fn queue_frame(&mut self, frame: &Frame, metrics: &NetMetrics) {
+        if self.outbuf.is_empty() {
+            self.last_write_progress = Instant::now();
+        }
         write_frame(&mut self.outbuf, frame);
         metrics.frames_out.fetch_add(1, Relaxed);
+    }
+
+    /// The instant this connection is evicted unless something moves
+    /// first: `idle_timeout` after the last read while no run is
+    /// pending or parked and no `Bye` came, `write_stall_timeout` after
+    /// the last write progress while output is unsent, the earlier when
+    /// both apply. The one rule `check_timeouts` evicts by and
+    /// `Loop::wait` sleeps until. An unrepresentable instant never
+    /// evicts.
+    fn eviction_due(&self, config: &NetConfig) -> Option<Instant> {
+        let idle = self.pending.is_empty() && self.parked.is_empty() && !self.closing;
+        let idle = idle.then(|| self.last_read.checked_add(config.idle_timeout));
+        let stall = config.write_stall_timeout;
+        let stalled = !self.outbuf.is_empty();
+        let stalled = stalled.then(|| self.last_write_progress.checked_add(stall));
+        idle.flatten().into_iter().chain(stalled.flatten()).min()
     }
 }
 
@@ -423,38 +435,35 @@ impl Loop {
         self.reap();
     }
 
-    /// Blocks until a socket is ready, the service reports a state
-    /// change, or the next timed event is due (see the module docs).
+    /// Blocks until a watched socket is ready, a wake arrives, or the
+    /// nearest eviction deadline (`Conn::eviction_due`) passes; with no
+    /// deadline there is no timeout. No timer covers for a missed
+    /// event, so every state a connection can wait in after a sweep
+    /// that moved nothing has an event that ends the wait:
+    ///
+    /// * a pending or parked run, a closing or paused connection: the
+    ///   service's notify on completion, dispatch, close or cancel — or,
+    ///   when the loop itself made the change, the progress of the
+    ///   sweep that made it, which runs another sweep without waiting;
+    /// * unsent output: `POLLOUT` on its socket;
+    /// * input: `POLLIN` on its socket (a closing or paused connection
+    ///   is not read, and waits on the first rule);
+    /// * eviction: its deadline, the timeout here;
+    /// * shutdown: the waker `NetServer::shutdown` calls.
     fn wait(&mut self) {
-        let now = Instant::now();
-        let mut in_flight = false;
-        let mut next_eviction: Option<Duration> = None;
+        let due = self
+            .conns
+            .iter()
+            .filter_map(|conn| conn.eviction_due(&self.config))
+            .min();
         self.waiter.watch(&self.listener, true, false);
         for conn in &self.conns {
-            let busy = !conn.pending.is_empty()
-                || !conn.parked.is_empty()
-                || !conn.outbuf.is_empty()
-                || conn.paused
-                || conn.closing;
-            in_flight |= busy;
-            if !busy {
-                // `None` (an unrepresentable deadline) never evicts.
-                if let Some(due) = conn.last_read.checked_add(self.config.idle_timeout) {
-                    let left = due.saturating_duration_since(now);
-                    next_eviction = Some(next_eviction.map_or(left, |t| t.min(left)));
-                }
-            }
             let read = !conn.paused && !conn.closing;
             self.waiter
                 .watch(&conn.stream, read, !conn.outbuf.is_empty());
         }
-        let poll = self.config.poll_interval;
-        let timeout = if in_flight {
-            Some(next_eviction.map_or(poll, |t| t.min(poll)))
-        } else {
-            next_eviction
-        };
-        self.waiter.wait(timeout, poll);
+        self.waiter
+            .wait(due.map(|due| due.saturating_duration_since(Instant::now())));
     }
 
     fn trace(&self, kind: EventKind, a: u64, b: u64, c: u64) {
@@ -831,11 +840,7 @@ impl Loop {
 
     fn flush_writes(&mut self, i: usize) -> bool {
         let conn = &mut self.conns[i];
-        if conn.dead.is_some() {
-            return false;
-        }
-        if conn.outbuf.is_empty() {
-            conn.last_write_progress = Instant::now();
+        if conn.dead.is_some() || conn.outbuf.is_empty() {
             return false;
         }
         let mut written = 0;
@@ -881,18 +886,14 @@ impl Loop {
         }
     }
 
+    /// Evicts the connection once its `Conn::eviction_due` passed.
     fn check_timeouts(&mut self, i: usize) {
         let conn = &self.conns[i];
         if conn.dead.is_some() {
             return;
         }
-        let idle = conn.last_read.elapsed() > self.config.idle_timeout
-            && conn.pending.is_empty()
-            && conn.parked.is_empty()
-            && !conn.closing;
-        let write_stalled = !conn.outbuf.is_empty()
-            && conn.last_write_progress.elapsed() > self.config.write_stall_timeout;
-        if idle || write_stalled {
+        let due = conn.eviction_due(&self.config);
+        if due.is_some_and(|due| due <= Instant::now()) {
             self.metrics.conns_evicted.fetch_add(1, Relaxed);
             self.conns[i].dead = Some(CLOSE_EVICTED);
         }

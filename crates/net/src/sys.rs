@@ -1,17 +1,24 @@
 //! How the ingestion loop sleeps: one blocking wait that returns as
 //! soon as a socket is ready, the service reports a state change, or
-//! the timeout passes.
+//! the timeout (the nearest eviction deadline) passes.
 //!
 //! On 64-bit Linux the wait is `ppoll(2)` over the watched sockets plus
 //! the read end of a wake socket pair. `ppoll` rather than `poll`
-//! because `poll` takes whole milliseconds and would round the
-//! sub-millisecond `poll_interval` cap. A `Wake` writes one byte to
-//! the pair's other end; an `AtomicBool` coalesces wakes so at most
-//! one byte is outstanding per episode, and the loop reads the socket
-//! only when `ppoll` reports it readable. Everywhere else the wait is
-//! the fixed `poll_interval` sleep and a `Wake` does nothing.
+//! because `poll` takes whole milliseconds and would round a deadline.
+//! A `Wake` writes one byte to the pair's other end; an `AtomicBool`
+//! coalesces wakes so at most one byte is outstanding per episode, and
+//! the loop reads the socket only when `ppoll` reports it readable.
+//! Everywhere else the wait is a fixed [`RETRY_SLEEP`] and a `Wake`
+//! does nothing.
+
+use std::time::Duration;
 
 pub(crate) use imp::Waiter;
+
+/// What a wait sleeps when it cannot block on readiness: after a failed
+/// `ppoll`, so a persistent error cannot spin the loop, and after every
+/// sweep that moves nothing on platforms without `ppoll`.
+const RETRY_SLEEP: Duration = Duration::from_micros(500);
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 // `std` already links libc but does not wrap `ppoll`: the declaration
@@ -67,10 +74,23 @@ mod imp {
     impl Wake {
         /// Makes the loop's current or next wait return.
         pub(crate) fn wake(&self) {
-            if !self.pending.swap(true, AcqRel) {
-                // A full socket buffer already holds a wake; any other
-                // error leaves the loop on its timeout.
-                let _ = (&self.tx).write(&[1]);
+            if self.pending.swap(true, AcqRel) {
+                return;
+            }
+            // `WouldBlock` means the buffer holds unread bytes, which
+            // keep the loop's socket readable. Any other error sent no
+            // byte (the loop's end is closed, or the kernel is out of
+            // buffer memory): re-arm, so the flag cannot silence every
+            // later wake.
+            loop {
+                match (&self.tx).write(&[1]) {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() != ErrorKind::WouldBlock => {
+                        self.pending.swap(false, AcqRel);
+                    }
+                    _ => {}
+                }
+                break;
             }
         }
     }
@@ -120,9 +140,9 @@ mod imp {
 
         /// Blocks until a watched descriptor is ready, a [`Wake`]
         /// fires, or `timeout` passes (`None`: no timeout). Clears the
-        /// watch list. Should `ppoll` itself fail, sleeps `fallback`
-        /// instead, so a persistent error cannot spin the loop.
-        pub(crate) fn wait(&mut self, timeout: Option<Duration>, fallback: Duration) {
+        /// watch list. Should `ppoll` itself fail, sleeps
+        /// [`RETRY_SLEEP`] instead.
+        pub(crate) fn wait(&mut self, timeout: Option<Duration>) {
             let spec = timeout.map(|t| Timespec {
                 tv_sec: t.as_secs().min(c_long::MAX as u64) as c_long,
                 tv_nsec: t.subsec_nanos() as c_long,
@@ -144,7 +164,7 @@ mod imp {
                 self.drain();
             } else if ready < 0 && std::io::Error::last_os_error().kind() != ErrorKind::Interrupted
             {
-                std::thread::sleep(fallback);
+                std::thread::sleep(super::RETRY_SLEEP);
             }
             self.fds.truncate(1);
         }
@@ -172,7 +192,8 @@ mod imp {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// No wake channel on this platform: the loop wakes on its timer.
+    /// No wake channel on this platform: the loop sleeps [`super::RETRY_SLEEP`]
+    /// after every sweep that moves nothing.
     pub(crate) struct Wake;
 
     impl Wake {
@@ -196,9 +217,9 @@ mod imp {
 
         pub(crate) fn watch<T>(&mut self, _fd: &T, _read: bool, _write: bool) {}
 
-        /// Sleeps the fixed `fallback` (the configured `poll_interval`).
-        pub(crate) fn wait(&mut self, _timeout: Option<Duration>, fallback: Duration) {
-            std::thread::sleep(fallback);
+        /// Sleeps the fixed [`RETRY_SLEEP`].
+        pub(crate) fn wait(&mut self, _timeout: Option<Duration>) {
+            std::thread::sleep(super::RETRY_SLEEP);
         }
     }
 }

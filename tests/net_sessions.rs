@@ -23,7 +23,7 @@ use tpdf_suite::net::frame::write_frame;
 use tpdf_suite::net::ofdm::{run_records, wire_fed_ofdm};
 use tpdf_suite::net::{Frame, FrameReader, NetApps, NetClient, NetConfig, NetFeed, NetServer};
 use tpdf_suite::ops::{OpsConfig, OpsPlane};
-use tpdf_suite::runtime::{Executor, Token};
+use tpdf_suite::runtime::{Executor, Token, TokenBytes};
 use tpdf_suite::service::{ServiceConfig, TpdfService};
 
 /// Runs each wire-fed client streams (and the solo reference executes).
@@ -484,14 +484,124 @@ fn idle_connections_are_evicted() {
     server.shutdown();
 }
 
+/// A client that never reads its results is evicted when its
+/// write-stall deadline passes, with nothing else to wake the loop:
+/// each `Result` carries 2 MiB, far more than the loopback socket
+/// buffers hold, the idle timeout stays at 30 s, and a second client
+/// is served in the meantime and then sits idle.
+#[test]
+fn write_stalled_clients_are_evicted_on_their_deadline() {
+    const RUNS: u64 = 8;
+    const STALL: Duration = Duration::from_millis(500);
+    let (mut app, port) = wire_fed_ofdm(
+        OfdmConfig {
+            symbol_len: 16,
+            cyclic_prefix: 2,
+            bits_per_symbol: 2,
+            vectorization: 2,
+        },
+        7,
+        2,
+    );
+    let records = run_records(&port);
+    let tokens_out = port.reference_bits().len();
+    // Every demapped bit becomes one shared 32 KiB block.
+    let block = Token::Block(TokenBytes::new(vec![0x5a; 32 << 10]));
+    let build = Arc::clone(&app.build);
+    app.build = Arc::new(move |feed| {
+        let (mut registry, capture) = build(feed);
+        for demapper in ["QPSK", "QAM"] {
+            let block = block.clone();
+            registry.register_fn(demapper, move |ctx| {
+                ctx.fill_outputs_cycling(std::slice::from_ref(&block));
+                Ok(())
+            });
+        }
+        (registry, capture)
+    });
+    let mut apps = NetApps::new();
+    apps.register("ofdm", app);
+    let service = Arc::new(TpdfService::new(
+        ServiceConfig::default()
+            .with_threads(2)
+            .with_max_sessions(2),
+    ));
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        apps,
+        NetConfig {
+            write_stall_timeout: STALL,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+
+    // The stalled client sends every run at once and never reads.
+    let mut stalled = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut out = Vec::new();
+    let hello = Frame::Hello {
+        app: "ofdm".to_string(),
+        session: 0,
+        tokens_per_run: 0,
+    };
+    write_frame(&mut out, &hello);
+    for seq in 0..RUNS {
+        let tokens = records.clone();
+        write_frame(&mut out, &Frame::Records { tokens });
+        write_frame(&mut out, &Frame::Barrier { seq });
+    }
+    stalled.write_all(&out).expect("send the runs");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.metrics().results_out < RUNS {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled client's runs never finished"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stalled_at = Instant::now();
+
+    // A second client is served while the first one stalls.
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.hello("ofdm").expect("hello");
+    client.records(&records).expect("records");
+    client.barrier(0).expect("barrier");
+    let (_seq, tokens) = client.result().expect("served beside a stalled client");
+    assert_eq!(tokens.len(), tokens_out);
+    assert_eq!(
+        server.metrics().conns_evicted,
+        0,
+        "evicted before its deadline"
+    );
+
+    let bound = STALL + Duration::from_secs(2);
+    while server.metrics().conns_evicted == 0 {
+        assert!(
+            stalled_at.elapsed() < bound,
+            "a write-stalled client outlived its {STALL:?} deadline by 2 s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.metrics().conns_evicted,
+        1,
+        "only the stalled client goes"
+    );
+    client.bye().expect("bye");
+    drop(stalled);
+    server.shutdown();
+}
+
 /// A shut gate a kernel waits at until the test opens it.
 type Gate = Arc<(Mutex<bool>, Condvar)>;
 
-/// A server whose loop would sleep 5 s after every idle sweep if it
-/// slept on a timer, serving one OFDM app whose source first waits at
+/// A server serving one OFDM app whose source first waits at
 /// `src_gate` (when given); returns the service, the server, one run's
-/// records and one run's solo output.
-fn five_second_interval_server(
+/// records and one run's solo output. Its loop has no timer while a run
+/// is in flight, so a missed wake leaves the client waiting until a
+/// test's bound or `NetClient`'s 30 s read timeout fails it.
+fn ofdm_wake_server(
     queue_capacity: usize,
     src_gate: Option<Gate>,
 ) -> (Arc<TpdfService>, NetServer, Vec<Token>, Vec<Token>) {
@@ -540,21 +650,18 @@ fn five_second_interval_server(
         "127.0.0.1:0",
         Arc::clone(&service),
         apps,
-        NetConfig {
-            poll_interval: Duration::from_secs(5),
-            ..NetConfig::default()
-        },
+        NetConfig::default(),
     )
     .expect("bind loopback");
     (service, server, records, solo)
 }
 
 /// Every round trip needs the loop to notice a `Barrier` arriving and
-/// then a run finishing; a loop that waited out its 5 s interval for
-/// either would spend 5 s on the first round trip alone.
+/// then a run finishing; a loop that missed either event would never
+/// send the first result.
 #[test]
 fn sequential_round_trips_are_woken_not_timed() {
-    let (_service, server, records, solo) = five_second_interval_server(2, None);
+    let (_service, server, records, solo) = ofdm_wake_server(2, None);
     let start = Instant::now();
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.hello("ofdm").expect("hello");
@@ -576,13 +683,12 @@ fn sequential_round_trips_are_woken_not_timed() {
 }
 
 /// Two connections each keep two runs in flight, so the loop always
-/// has results outstanding: every `Result` must still leave when its
-/// run ends, woken by the completion, and not when the 5 s interval
-/// runs out.
+/// has results outstanding: every `Result` must leave when its run
+/// ends, woken by the completion.
 #[test]
 fn pipelined_round_trips_are_woken_not_timed() {
     const ROUNDS: u64 = 200;
-    let (_service, server, records, solo) = five_second_interval_server(2, None);
+    let (_service, server, records, solo) = ofdm_wake_server(2, None);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..2 {
@@ -619,11 +725,11 @@ fn pipelined_round_trips_are_woken_not_timed() {
 }
 
 /// Barriers refused by a full ingress queue are parked and must be
-/// retried when a run completes, not when the interval runs out.
+/// retried when a run completes.
 #[test]
 fn parked_barriers_are_retried_on_completion_wakes() {
     let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let (service, server, records, solo) = five_second_interval_server(1, Some(Arc::clone(&gate)));
+    let (service, server, records, solo) = ofdm_wake_server(1, Some(Arc::clone(&gate)));
     let runs = 12u64;
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.hello("ofdm").expect("hello");
@@ -670,10 +776,10 @@ fn parked_barriers_are_retried_on_completion_wakes() {
     server.shutdown();
 }
 
-/// `shutdown` wakes the loop instead of waiting out its interval.
+/// `shutdown` wakes the loop out of its wait.
 #[test]
 fn shutdown_wakes_the_loop() {
-    let (_service, server, records, _solo) = five_second_interval_server(2, None);
+    let (_service, server, records, _solo) = ofdm_wake_server(2, None);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.hello("ofdm").expect("hello");
     client.records(&records).expect("records");
