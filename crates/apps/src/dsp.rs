@@ -85,15 +85,27 @@ pub fn remove_cyclic_prefix(symbol: &[Complex], cp_len: usize) -> Vec<Complex> {
     symbol[cp_len..].to_vec()
 }
 
-/// In-place iterative radix-2 decimation-in-time FFT.
+/// Iterative radix-2 decimation-in-time FFT into a fresh vector (see
+/// [`fft_in_place`]).
 ///
 /// # Panics
 ///
 /// Panics if the input length is not a power of two.
 pub fn fft(input: &[Complex]) -> Vec<Complex> {
-    let n = input.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
     let mut data = input.to_vec();
+    fft_in_place(&mut data);
+    data
+}
+
+/// In-place iterative radix-2 decimation-in-time FFT: `data` is
+/// replaced by its spectrum.
+///
+/// # Panics
+///
+/// Panics if the input length is not a power of two.
+pub fn fft_in_place(data: &mut [Complex]) {
+    let n = data.len();
+    assert!(n.is_power_of_two(), "FFT length must be a power of two");
 
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
@@ -122,7 +134,6 @@ pub fn fft(input: &[Complex]) -> Vec<Complex> {
         }
         len <<= 1;
     }
-    data
 }
 
 /// Inverse FFT (used by tests to verify the round trip).

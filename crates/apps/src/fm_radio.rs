@@ -126,26 +126,38 @@ impl FmRadio {
     /// differentiation (the `demod` kernel).
     pub fn fm_demodulate(samples: &[Complex]) -> Vec<f64> {
         let mut out = Vec::with_capacity(samples.len());
+        Self::fm_demodulate_into(samples, |x| out.push(x));
+        out
+    }
+
+    /// [`FmRadio::fm_demodulate`], handing each demodulated value to
+    /// `sink` instead of collecting them.
+    pub fn fm_demodulate_into(samples: &[Complex], mut sink: impl FnMut(f64)) {
         let mut previous = Complex::new(1.0, 0.0);
         for &s in samples {
             // Phase difference via conj(previous) * current.
             let rotated = Complex::new(previous.re, -previous.im).mul(s);
-            out.push(rotated.im.atan2(rotated.re));
+            sink(rotated.im.atan2(rotated.re));
             previous = s;
         }
-        out
     }
 
     /// A simple moving-average low-pass FIR (the `lowpass` kernel).
     pub fn low_pass(samples: &[f64], taps: usize) -> Vec<f64> {
-        assert!(taps > 0, "FIR needs at least one tap");
         let mut out = Vec::with_capacity(samples.len());
+        Self::low_pass_into(samples, taps, |x| out.push(x));
+        out
+    }
+
+    /// [`FmRadio::low_pass`], handing each filtered value to `sink`
+    /// instead of collecting them.
+    pub fn low_pass_into(samples: &[f64], taps: usize, mut sink: impl FnMut(f64)) {
+        assert!(taps > 0, "FIR needs at least one tap");
         for i in 0..samples.len() {
             let start = i.saturating_sub(taps - 1);
             let window = &samples[start..=i];
-            out.push(window.iter().sum::<f64>() / window.len() as f64);
+            sink(window.iter().sum::<f64>() / window.len() as f64);
         }
-        out
     }
 }
 

@@ -145,8 +145,7 @@ fn weighted_registry() -> KernelRegistry {
     for node in ["A", "B", "C", "D", "E", "F"] {
         registry.register_fn(node, |ctx| {
             std::thread::sleep(KERNEL_DELAY);
-            let source = ctx.concatenated_inputs();
-            ctx.fill_outputs_cycling(&source);
+            ctx.fill_outputs_from_inputs();
             Ok(())
         });
     }

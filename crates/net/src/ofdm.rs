@@ -48,10 +48,11 @@ pub fn wire_fed_ofdm(config: OfdmConfig, seed: u64, threads: usize) -> (NetApp, 
             // still steers the control actor with the constellation.
             registry.register_fn("SRC", move |ctx| {
                 for out in &mut ctx.outputs {
-                    out.tokens = match out.port {
-                        0 => feed.pop(out.rate as usize),
-                        _ => vec![Token::Int(m as i64); out.rate as usize],
-                    };
+                    let rate = out.rate as usize;
+                    match out.port {
+                        0 => feed.pop_into(rate, &mut out.tokens),
+                        _ => out.tokens.resize(rate, Token::Int(m as i64)),
+                    }
                 }
                 Ok(())
             });

@@ -159,9 +159,17 @@ impl NetFeed {
     /// are present (a `Barrier` is only submitted once a full run's
     /// records arrived).
     pub fn pop(&self, n: usize) -> Vec<Token> {
+        let mut out = Vec::new();
+        self.pop_into(n, &mut out);
+        out
+    }
+
+    /// [`NetFeed::pop`] onto the end of `out`: a source kernel pops
+    /// straight into its output slab.
+    pub fn pop_into(&self, n: usize, out: &mut Vec<Token>) {
         let mut tokens = self.tokens.lock().expect("feed lock");
         let n = n.min(tokens.len());
-        tokens.drain(..n).collect()
+        out.extend(tokens.drain(..n));
     }
 
     /// Buffered tokens.

@@ -10,12 +10,14 @@
 //! can be read back after the run — that is what the cross-validation
 //! suite compares against the direct (graph-free) computation.
 
-use crate::kernel::KernelRegistry;
+use crate::kernel::{FiringContext, KernelRegistry};
 use crate::token::{Token, TokenBytes};
 use crate::RuntimeError;
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
+use std::thread::LocalKey;
 use std::time::Duration;
-use tpdf_apps::dsp::{demap, fft, random_samples, remove_cyclic_prefix, Complex};
+use tpdf_apps::dsp::{fft_in_place, qam16_demap, qpsk_demap, random_samples, Complex};
 use tpdf_apps::edge_detection::{detector_node_name, EdgeDetectionApp, EdgeDetector};
 use tpdf_apps::fm_radio::{FmRadio, FmRadioConfig};
 use tpdf_apps::image::GrayImage;
@@ -41,13 +43,13 @@ impl OutputCapture {
     pub fn install(&self, registry: &mut KernelRegistry, node: &str) {
         let tokens = Arc::clone(&self.tokens);
         registry.register_fn(node, move |ctx| {
-            let consumed = ctx.concatenated_inputs();
-            tokens
-                .lock()
-                .expect("capture lock")
-                .extend(consumed.iter().cloned());
+            let mut captured = tokens.lock().expect("capture lock");
+            for slab in ctx.consumed().slabs() {
+                captured.extend_from_slice(slab);
+            }
+            drop(captured);
             // A sink may still have outputs in some graphs; forward.
-            ctx.fill_outputs_cycling(&consumed);
+            ctx.fill_outputs_from_inputs();
             Ok(())
         });
     }
@@ -274,58 +276,46 @@ impl OfdmRuntime {
         let cp = config.cyclic_prefix;
         let m = config.bits_per_symbol;
 
-        let samples: Vec<Token> = self
-            .symbols
-            .iter()
-            .flat_map(|symbol| symbol.iter().map(|&c| Token::Complex(c)))
-            .collect();
+        let samples = self.samples();
         registry.register_fn("SRC", move |ctx| {
             // Port 0: the β(N+L) time-domain samples; port 1: the active
             // constellation (M) towards the control actor.
             for out in &mut ctx.outputs {
-                out.tokens = match out.port {
-                    0 => samples.iter().take(out.rate as usize).cloned().collect(),
-                    _ => vec![Token::Int(m as i64); out.rate as usize],
-                };
+                let rate = out.rate as usize;
+                match out.port {
+                    0 => out.tokens.extend(samples.iter().take(rate).cloned()),
+                    _ => out.tokens.resize(rate, Token::Int(m as i64)),
+                }
             }
             Ok(())
         });
 
         registry.register_fn("RCP", move |ctx| {
-            let samples = complex_inputs(ctx)?;
-            let trimmed: Vec<Token> = samples
-                .chunks(n + cp)
-                .flat_map(|symbol| remove_cyclic_prefix(symbol, cp))
-                .map(Token::Complex)
-                .collect();
-            ctx.fill_outputs_cycling(&trimmed);
-            Ok(())
+            ctx.produce(|inputs, out| {
+                for (i, sample) in inputs.complex().enumerate() {
+                    let sample = sample?;
+                    // The first `cp` samples of each symbol are its prefix.
+                    if i % (n + cp) >= cp {
+                        out.push(Token::Complex(sample));
+                    }
+                }
+                Ok(())
+            })
         });
 
         registry.register_fn("FFT", move |ctx| {
-            let samples = complex_inputs(ctx)?;
-            let spectrum: Vec<Token> = samples
-                .chunks(n)
-                .flat_map(fft)
-                .map(Token::Complex)
-                .collect();
-            ctx.fill_outputs_cycling(&spectrum);
-            Ok(())
+            ctx.produce(|inputs, out| {
+                gathered(&SAMPLES, inputs.complex(), |samples| {
+                    for symbol in samples.chunks_mut(n) {
+                        fft_in_place(symbol);
+                        symbol.iter().for_each(|&bin| out.push(Token::Complex(bin)));
+                    }
+                })
+            })
         });
 
-        registry.register_fn("QPSK", move |ctx| {
-            let spectrum = complex_inputs(ctx)?;
-            let bits: Vec<Token> = demap(&spectrum, 2).into_iter().map(Token::Byte).collect();
-            ctx.fill_outputs_cycling(&bits);
-            Ok(())
-        });
-
-        registry.register_fn("QAM", move |ctx| {
-            let spectrum = complex_inputs(ctx)?;
-            let bits: Vec<Token> = demap(&spectrum, 4).into_iter().map(Token::Byte).collect();
-            ctx.fill_outputs_cycling(&bits);
-            Ok(())
-        });
+        registry.register_fn("QPSK", demapper(qpsk_demap));
+        registry.register_fn("QAM", demapper(qam16_demap));
 
         let capture = OutputCapture::new();
         capture.install(&mut registry, "SNK");
@@ -441,22 +431,32 @@ impl FmRadioRuntime {
     }
 
     fn lowpass_block(samples: &[Complex]) -> Vec<Complex> {
-        let res: Vec<f64> = samples.iter().map(|c| c.re).collect();
-        let ims: Vec<f64> = samples.iter().map(|c| c.im).collect();
-        let res = FmRadio::low_pass(&res, Self::LOWPASS_TAPS);
-        let ims = FmRadio::low_pass(&ims, Self::LOWPASS_TAPS);
-        res.into_iter()
-            .zip(ims)
-            .map(|(re, im)| Complex::new(re, im))
-            .collect()
+        let mut out = Vec::with_capacity(samples.len());
+        Self::lowpass_into(samples, |c| out.push(c));
+        out
+    }
+
+    /// The complex front-end filter: [`FmRadio::low_pass`] over the real
+    /// and the imaginary parts.
+    fn lowpass_into(samples: &[Complex], mut sink: impl FnMut(Complex)) {
+        for i in 0..samples.len() {
+            let window = &samples[i.saturating_sub(Self::LOWPASS_TAPS - 1)..=i];
+            let mean = |part: fn(&Complex) -> f64| {
+                window.iter().map(part).sum::<f64>() / window.len() as f64
+            };
+            sink(Complex::new(mean(|c| c.re), mean(|c| c.im)));
+        }
     }
 
     fn band_transform(band: usize, audio: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(audio.len());
+        Self::band_transform_into(band, audio, |x| out.push(x));
+        out
+    }
+
+    fn band_transform_into(band: usize, audio: &[f64], mut sink: impl FnMut(f64)) {
         let gain = Self::band_gain(band);
-        FmRadio::low_pass(audio, band + 2)
-            .into_iter()
-            .map(|x| x * gain)
-            .collect()
+        FmRadio::low_pass_into(audio, band + 2, |x| sink(x * gain));
     }
 
     /// Builds the kernel registry implementing the pipeline on real
@@ -482,32 +482,28 @@ impl FmRadioRuntime {
         });
 
         registry.register_fn("lowpass", move |ctx| {
-            let filtered: Vec<Token> = Self::lowpass_block(&complex_inputs(ctx)?)
-                .into_iter()
-                .map(Token::Complex)
-                .collect();
-            ctx.fill_outputs_cycling(&filtered);
-            Ok(())
+            ctx.produce(|inputs, out| {
+                gathered(&SAMPLES, inputs.complex(), |samples| {
+                    Self::lowpass_into(samples, |c| out.push(Token::Complex(c)))
+                })
+            })
         });
 
         registry.register_fn("demod", move |ctx| {
-            let audio: Vec<Token> = FmRadio::fm_demodulate(&complex_inputs(ctx)?)
-                .into_iter()
-                .map(Token::Float)
-                .collect();
-            ctx.fill_outputs_cycling(&audio);
-            Ok(())
+            ctx.produce(|inputs, out| {
+                gathered(&SAMPLES, inputs.complex(), |samples| {
+                    FmRadio::fm_demodulate_into(samples, |x| out.push(Token::Float(x)))
+                })
+            })
         });
 
         for band in 0..self.radio.config().bands {
             registry.register_fn(format!("band{band}"), move |ctx| {
-                let audio = float_inputs(ctx)?;
-                let shaped: Vec<Token> = Self::band_transform(band, &audio)
-                    .into_iter()
-                    .map(Token::Float)
-                    .collect();
-                ctx.fill_outputs_cycling(&shaped);
-                Ok(())
+                ctx.produce(|inputs, out| {
+                    gathered(&AUDIO, inputs.floats(), |audio| {
+                        Self::band_transform_into(band, audio, |x| out.push(Token::Float(x)))
+                    })
+                })
             });
         }
 
@@ -628,8 +624,7 @@ impl PayloadRuntime {
             Ok(())
         });
         registry.register_fn("RELAY", move |ctx| {
-            let consumed = ctx.concatenated_inputs();
-            ctx.fill_outputs_cycling(&consumed);
+            ctx.fill_outputs_from_inputs();
             Ok(())
         });
         let capture = OutputCapture::new();
@@ -638,30 +633,45 @@ impl PayloadRuntime {
     }
 }
 
-/// The complex payloads of every consumed token, in order.
-fn complex_inputs(ctx: &crate::kernel::FiringContext) -> Result<Vec<Complex>, RuntimeError> {
-    ctx.concatenated_inputs()
-        .iter()
-        .map(|t| {
-            t.as_complex().ok_or_else(|| RuntimeError::KernelFailed {
-                node: ctx.node.to_string(),
-                message: format!("expected a complex sample, got {t}"),
-            })
+/// A demapping kernel: every consumed complex sample becomes `M` bit
+/// tokens.
+fn demapper<const M: usize>(
+    demap: fn(Complex) -> [u8; M],
+) -> impl Fn(&mut FiringContext) -> Result<(), RuntimeError> + Send + Sync {
+    move |ctx| {
+        ctx.produce(|inputs, out| {
+            for sample in inputs.complex() {
+                for bit in demap(sample?) {
+                    out.push(Token::Byte(bit));
+                }
+            }
+            Ok(())
         })
-        .collect()
+    }
 }
 
-/// The float payloads of every consumed token, in order.
-fn float_inputs(ctx: &crate::kernel::FiringContext) -> Result<Vec<f64>, RuntimeError> {
-    ctx.concatenated_inputs()
-        .iter()
-        .map(|t| {
-            t.as_float().ok_or_else(|| RuntimeError::KernelFailed {
-                node: ctx.node.to_string(),
-                message: format!("expected an audio sample, got {t}"),
-            })
-        })
-        .collect()
+thread_local! {
+    /// Per-thread buffers for the kernels that need a firing's values
+    /// all at once (the FFT, the FM filters). They are reused across
+    /// firings, so a warm worker fires those kernels without allocating.
+    static SAMPLES: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
+    static AUDIO: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Gathers `values` into this thread's `buffer` and runs `compute` over
+/// them; the first error ends the firing.
+fn gathered<T, R>(
+    buffer: &'static LocalKey<RefCell<Vec<T>>>,
+    values: impl Iterator<Item = Result<T, RuntimeError>>,
+    compute: impl FnOnce(&mut [T]) -> R,
+) -> Result<R, RuntimeError> {
+    buffer.with_borrow_mut(|buffer| {
+        buffer.clear();
+        for value in values {
+            buffer.push(value?);
+        }
+        Ok(compute(buffer))
+    })
 }
 
 #[cfg(test)]
@@ -895,6 +905,72 @@ mod tests {
                 block.shares_storage(&port.row_blocks()[row]),
                 "row {row} was copied somewhere between SRC and SNK"
             );
+        }
+    }
+
+    /// Runs `registry` after replacing each of `upstream` with a kernel
+    /// that emits `Token::Int(7)` on every output, and returns the
+    /// failure.
+    fn fail_downstream_of(
+        graph: &TpdfGraph,
+        config: RuntimeConfig,
+        mut registry: KernelRegistry,
+        upstream: &[&str],
+    ) -> (String, String) {
+        for node in upstream {
+            registry.register_fn(*node, |ctx| {
+                ctx.fill_outputs_cycling(&[Token::Int(7)]);
+                Ok(())
+            });
+        }
+        match Executor::new(graph, config.with_threads(1))
+            .unwrap()
+            .run(&registry)
+        {
+            Err(RuntimeError::KernelFailed { node, message }) => (node, message),
+            other => panic!("a consumer of {upstream:?} must fail, got {other:?}"),
+        }
+    }
+
+    /// Every typed kernel rejects a token of the wrong kind with a
+    /// `KernelFailed` naming itself and the offending token.
+    #[test]
+    fn kernels_reject_tokens_of_the_wrong_kind() {
+        let complex = "expected a complex sample, got 7";
+        let ofdm = OfdmRuntime::new(
+            OfdmConfig {
+                symbol_len: 16,
+                cyclic_prefix: 2,
+                bits_per_symbol: 2,
+                vectorization: 2,
+            },
+            3,
+        );
+        // QPSK and QAM both fire every iteration; replacing QPSK too
+        // lets the bad tokens reach QAM first.
+        for (upstream, node) in [
+            (&["SRC"][..], "RCP"),
+            (&["RCP"], "FFT"),
+            (&["FFT"], "QPSK"),
+            (&["FFT", "QPSK"], "QAM"),
+        ] {
+            let config = RuntimeConfig::new(ofdm.config().binding())
+                .with_mode_selector(ofdm.mode_selector())
+                .with_value_trace(ofdm.value_trace());
+            let failure = fail_downstream_of(&ofdm.graph(), config, ofdm.registry().0, upstream);
+            assert_eq!(failure, (node.to_string(), complex.to_string()));
+        }
+
+        let radio = FmRadioRuntime::new(FmRadioConfig { bands: 1, block: 8 }, 3);
+        for (upstream, node, message) in [
+            ("src", "lowpass", complex),
+            ("lowpass", "demod", complex),
+            ("demod", "band0", "expected an audio sample, got 7"),
+        ] {
+            let config = RuntimeConfig::new(radio.binding());
+            let failure =
+                fail_downstream_of(&radio.graph(), config, radio.registry().0, &[upstream]);
+            assert_eq!(failure, (node.to_string(), message.to_string()));
         }
     }
 

@@ -19,11 +19,44 @@
 //!   markers when the firing consumed nothing), which keeps rate-only
 //!   graphs — e.g. the Figure 2 running example — executable without any
 //!   registration.
+//!
+//! # Writing a kernel
+//!
+//! The executor hands every firing its consumed tokens as borrowed
+//! slabs popped from the input rings, and one empty arena-backed slab
+//! per output port. [`FiringContext::produce`] gives a kernel both
+//! without a copy: an [`InputView`] over every consumed token, port
+//! after port (with typed accessors that fail the firing on a token of
+//! the wrong kind), and an [`OutputWriter`] that pushes each produced
+//! token straight into the output slabs. When the kernel returns, every
+//! port is completed to its rate by cycling what was produced, or with
+//! [`Token::Unit`] markers when nothing was — the same stream
+//! [`FiringContext::fill_outputs_cycling`] writes from a finished slice.
+//!
+//! ```
+//! use tpdf_apps::dsp::qpsk_demap;
+//! use tpdf_runtime::{KernelRegistry, Token};
+//!
+//! let mut registry = KernelRegistry::new();
+//! // Demap every consumed complex sample into two bit tokens.
+//! registry.register_fn("QPSK", |ctx| {
+//!     ctx.produce(|inputs, out| {
+//!         for symbol in inputs.complex() {
+//!             for bit in qpsk_demap(symbol?) {
+//!                 out.push(Token::Byte(bit));
+//!             }
+//!         }
+//!         Ok(())
+//!     })
+//! });
+//! assert!(registry.get("QPSK").is_some());
+//! ```
 
 use crate::token::Token;
 use crate::RuntimeError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use tpdf_apps::dsp::Complex;
 use tpdf_core::mode::Mode;
 
 /// The tokens one data-input port contributed to a firing.
@@ -118,15 +151,39 @@ impl FiringContext {
         self.input(port).map(|p| p.tokens.as_slice()).unwrap_or(&[])
     }
 
-    /// All consumed tokens, port after port, oldest first.
-    ///
-    /// This allocates a fresh concatenation; behaviours reading a
-    /// single port should use [`FiringContext::input_tokens`] instead.
-    pub fn concatenated_inputs(&self) -> Vec<Token> {
-        self.inputs
-            .iter()
-            .flat_map(|p| p.tokens.iter().cloned())
-            .collect()
+    /// A borrowed view over every consumed token, port after port,
+    /// oldest first.
+    pub fn consumed(&self) -> InputView<'_> {
+        InputView {
+            node: &self.node,
+            ports: &self.inputs,
+        }
+    }
+
+    /// Runs `kernel` with a view of the consumed tokens and a writer
+    /// into the output slabs, then completes every port to its rate:
+    /// the production is cycled, exactly as
+    /// [`FiringContext::fill_outputs_cycling`] cycles a finished slice,
+    /// or [`Token::Unit`] markers fill the port when nothing was
+    /// produced. An error from `kernel` is returned as is.
+    pub fn produce<F>(&mut self, kernel: F) -> Result<(), RuntimeError>
+    where
+        F: FnOnce(InputView<'_>, &mut OutputWriter<'_>) -> Result<(), RuntimeError>,
+    {
+        let inputs = InputView {
+            node: &self.node,
+            ports: &self.inputs,
+        };
+        for out in &mut self.outputs {
+            out.tokens.clear();
+        }
+        let mut writer = OutputWriter {
+            ports: &mut self.outputs,
+            produced: 0,
+        };
+        kernel(inputs, &mut writer)?;
+        writer.finish();
+        Ok(())
     }
 
     /// The scalar views of every consumed token, port after port, oldest
@@ -141,9 +198,7 @@ impl FiringContext {
     /// allocation-free form of [`FiringContext::input_scalars`] the
     /// executor feeds from a reused per-worker buffer.
     pub fn input_scalars_into(&self, out: &mut Vec<i64>) {
-        for p in &self.inputs {
-            out.extend(p.tokens.iter().map(Token::as_scalar));
-        }
+        out.extend(self.consumed().tokens().map(Token::as_scalar));
     }
 
     /// Makes this firing's control tokens carry `mode`, overriding the
@@ -191,6 +246,99 @@ impl FiringContext {
                         .take(out.rate as usize)
                         .cloned(),
                 );
+            }
+        }
+    }
+}
+
+/// A borrowed view over every token one firing consumed, port after
+/// port, oldest first (see [`FiringContext::consumed`]). Reading it
+/// copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct InputView<'a> {
+    node: &'a str,
+    ports: &'a [PortInput],
+}
+
+impl<'a> InputView<'a> {
+    /// Every consumed token.
+    pub fn tokens(self) -> impl Iterator<Item = &'a Token> + Clone {
+        self.slabs().flatten()
+    }
+
+    /// The consumed slab of every participating port.
+    pub fn slabs(self) -> impl Iterator<Item = &'a [Token]> + Clone {
+        self.ports.iter().map(|p| p.tokens.as_slice())
+    }
+
+    /// The complex payload of every consumed token. A token of another
+    /// kind yields [`RuntimeError::KernelFailed`] naming the node and
+    /// the token.
+    pub fn complex(self) -> impl Iterator<Item = Result<Complex, RuntimeError>> + 'a {
+        self.typed(Token::as_complex, "a complex sample")
+    }
+
+    /// The floating-point payload of every consumed token (the FM-radio
+    /// audio stream). A token of another kind yields
+    /// [`RuntimeError::KernelFailed`] naming the node and the token.
+    pub fn floats(self) -> impl Iterator<Item = Result<f64, RuntimeError>> + 'a {
+        self.typed(Token::as_float, "an audio sample")
+    }
+
+    fn typed<T: 'a>(
+        self,
+        payload: fn(&Token) -> Option<T>,
+        expected: &'static str,
+    ) -> impl Iterator<Item = Result<T, RuntimeError>> + 'a {
+        self.tokens().map(move |token| {
+            payload(token).ok_or_else(|| RuntimeError::KernelFailed {
+                node: self.node.to_string(),
+                message: format!("expected {expected}, got {token}"),
+            })
+        })
+    }
+}
+
+/// Writes a firing's production straight into its output slabs (see
+/// [`FiringContext::produce`]).
+#[derive(Debug)]
+pub struct OutputWriter<'a> {
+    ports: &'a mut [PortOutput],
+    produced: usize,
+}
+
+impl OutputWriter<'_> {
+    /// Appends the next produced token to every port still below its
+    /// rate. Tokens past a port's rate are not written to it.
+    pub fn push(&mut self, token: Token) {
+        self.produced += 1;
+        let mut open = self
+            .ports
+            .iter_mut()
+            .filter(|out| (out.tokens.len() as u64) < out.rate)
+            .peekable();
+        while let Some(out) = open.next() {
+            if open.peek().is_none() {
+                // The last port takes the token itself.
+                out.tokens.push(token);
+                return;
+            }
+            out.tokens.push(token.clone());
+        }
+    }
+
+    /// Completes every port to its rate. A port below its rate holds
+    /// the whole production, so cycling it repeats its own prefix.
+    fn finish(self) {
+        for out in self.ports.iter_mut() {
+            let rate = out.rate as usize;
+            if self.produced == 0 {
+                out.tokens.resize(rate, Token::Unit);
+                continue;
+            }
+            while out.tokens.len() < rate {
+                let round = self.produced.min(rate - out.tokens.len());
+                out.tokens.extend_from_within(..round);
             }
         }
     }
@@ -487,6 +635,61 @@ mod tests {
         assert_eq!(ctx.emitted_mode, None);
         ctx.set_mode(Mode::SelectOne(1));
         assert_eq!(ctx.emitted_mode, Some(Mode::SelectOne(1)));
+    }
+
+    #[test]
+    fn writer_equals_fill_outputs_cycling() {
+        // One port, then several of different rates (one of them 0):
+        // productions empty, shorter than, equal to and longer than
+        // each rate.
+        for rates in [&[4u64][..], &[3, 5, 0, 1]] {
+            for produced in [0, 1, 2, 3, 4, 5, 7] {
+                let source: Vec<Token> = (0..produced).map(Token::Int).collect();
+                let mut expected = ctx_with(Vec::new(), rates);
+                expected.fill_outputs_cycling(&source);
+                let mut written = ctx_with(Vec::new(), rates);
+                written
+                    .produce(|_, out| {
+                        source.iter().for_each(|t| out.push(t.clone()));
+                        Ok(())
+                    })
+                    .unwrap();
+                for (want, got) in expected.outputs.iter().zip(&written.outputs) {
+                    assert_eq!(
+                        got.tokens, want.tokens,
+                        "{produced} tokens into rates {rates:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn consumed_view_reads_every_port_in_order_and_checks_kinds() {
+        let sample = Complex::new(1.0, -1.0);
+        let mut ctx = ctx_with(
+            vec![
+                port(0, 0, vec![Token::Complex(sample)]),
+                port(2, 0, vec![Token::Float(0.5), Token::Complex(sample)]),
+            ],
+            &[1],
+        );
+        let view = ctx.consumed();
+        assert_eq!(view.tokens().count(), 3);
+        let complex: Vec<_> = view.complex().collect();
+        assert_eq!(complex[0], Ok(sample));
+        assert_eq!(
+            complex[1],
+            Err(RuntimeError::KernelFailed {
+                node: "t".to_string(),
+                message: "expected a complex sample, got 0.5".to_string(),
+            })
+        );
+        assert_eq!(complex[2], Ok(sample));
+        assert_eq!(view.floats().filter(Result::is_ok).count(), 1);
+        // A failing kernel's error comes back unchanged.
+        let failed = ctx.produce(|inputs, _| inputs.complex().try_for_each(|c| c.map(drop)));
+        assert!(matches!(failed, Err(RuntimeError::KernelFailed { .. })));
     }
 
     #[test]

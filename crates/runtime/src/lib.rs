@@ -100,7 +100,7 @@ pub use checkpoint::{ChannelCheckpoint, ChannelContents, Checkpoint, CheckpointE
 pub use executor::{
     ClockMode, CompiledExecutor, Executor, ProgressSnapshot, RunOutcome, RunRequest, RuntimeConfig,
 };
-pub use kernel::{FiringContext, KernelBehavior, KernelRegistry};
+pub use kernel::{FiringContext, InputView, KernelBehavior, KernelRegistry, OutputWriter};
 pub use metrics::{DeadlineSelection, Metrics, RebindEvent};
 pub use pool::{ExecutorPool, JobTicket};
 pub use ring::RingBuffer;

@@ -6,19 +6,25 @@
 //! and the mode logs and ready queues are pre-reserved — so once the
 //! arenas are warm, extra iterations must not touch the global
 //! allocator at all. This test pins that down with a counting
-//! allocator: the figure2 graph is run twice on the single-worker fast
-//! path, once for a few iterations and once for many, and the two runs
-//! must perform *exactly* the same number of allocations. Any
-//! per-firing (or per-iteration) allocation that sneaks back into the
-//! hot path makes the counts diverge by hundreds and fails loudly.
+//! allocator: a graph is run twice on the single-worker fast path, once
+//! for a few iterations and once for many, and the two runs must
+//! perform *exactly* the same number of allocations. Any per-firing (or
+//! per-iteration) allocation that sneaks back into the hot path makes
+//! the counts diverge by hundreds and fails loudly.
+//!
+//! Two graphs are guarded: the rate-only figure2 example on the
+//! built-in kernels, and the Figure 7 OFDM demodulator on its real
+//! kernels (`OfdmRuntime::registry`), which read their input slabs and
+//! write their output slabs in place.
 //!
 //! The guard lives in its own integration-test binary because the
 //! `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use tpdf_apps::ofdm::OfdmConfig;
 use tpdf_core::examples::figure2_graph;
-use tpdf_runtime::{Executor, KernelRegistry, RuntimeConfig};
+use tpdf_runtime::{Executor, KernelRegistry, OfdmRuntime, RuntimeConfig};
 use tpdf_symexpr::Binding;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and defers
@@ -80,17 +86,64 @@ fn allocations_for(iterations: u64) -> u64 {
     after - before
 }
 
-#[test]
-fn steady_state_iterations_allocate_nothing() {
+/// Allocations performed by running the OFDM demodulator (N = 16,
+/// L = 2, β = 2, QPSK) with its real kernels for `iterations`
+/// iterations on one worker. The sink's capture is reserved up front
+/// for the whole run, so its growth cannot differ between run lengths;
+/// every other allocation in the window is per run, not per firing.
+fn ofdm_allocations_for(iterations: u64) -> u64 {
+    let port = OfdmRuntime::new(
+        OfdmConfig {
+            symbol_len: 16,
+            cyclic_prefix: 2,
+            bits_per_symbol: 2,
+            vectorization: 2,
+        },
+        7,
+    );
+    let graph = port.graph();
+    let (registry, capture) = port.registry();
+    let bits_per_run = port.reference_bits().len();
+    capture.restore_tokens(Vec::with_capacity(bits_per_run * iterations as usize));
+    let config = RuntimeConfig::new(port.config().binding())
+        .with_threads(1)
+        .with_iterations(iterations)
+        .with_mode_selector(port.mode_selector())
+        .with_value_trace(port.value_trace());
+    let executor = Executor::new(&graph, config).expect("OFDM configures");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let metrics = executor.run(&registry).expect("OFDM runs");
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(metrics.iterations, iterations);
+    let bits = capture.bits();
+    assert_eq!(bits.len(), bits_per_run * iterations as usize);
+    assert!(
+        bits.chunks(bits_per_run)
+            .all(|run| run == port.reference_bits()),
+        "every iteration demodulates the reference bits"
+    );
+    after - before
+}
+
+/// Asserts that `allocations` counts the same at 8 and 64 iterations.
+fn assert_steady(graph: &str, allocations: fn(u64) -> u64) {
     // One throwaway run absorbs process-level one-time costs (lazy
     // locks, thread-local init) so the two measured runs are
     // like-for-like.
-    allocations_for(2);
-    let short = allocations_for(8);
-    let long = allocations_for(64);
+    allocations(2);
+    let short = allocations(8);
+    let long = allocations(64);
     assert_eq!(
         short, long,
-        "56 extra iterations changed the allocation count: \
+        "{graph}: 56 extra iterations changed the allocation count: \
          a per-firing allocation is back on the hot path"
     );
+}
+
+/// One test, not one per graph: the counter is process-wide, so two
+/// tests measuring at once would count each other's allocations.
+#[test]
+fn steady_state_iterations_allocate_nothing() {
+    assert_steady("figure2", allocations_for);
+    assert_steady("OFDM", ofdm_allocations_for);
 }
