@@ -198,7 +198,9 @@ impl FiringContext {
     /// allocation-free form of [`FiringContext::input_scalars`] the
     /// executor feeds from a reused per-worker buffer.
     pub fn input_scalars_into(&self, out: &mut Vec<i64>) {
-        out.extend(self.consumed().tokens().map(Token::as_scalar));
+        for p in &self.inputs {
+            out.extend(p.tokens.iter().map(Token::as_scalar));
+        }
     }
 
     /// Makes this firing's control tokens carry `mode`, overriding the
